@@ -27,7 +27,6 @@ from .matrix import (
     SingularMatrixError,
     SubsetMask,
     nullity,
-    nullity_by_bits,
     principal_submatrix,
 )
 from .pivot import (
@@ -62,6 +61,16 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from None
+
+
+def _at_least_one(arg: str) -> int:
+    try:
+        value = int(arg)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {arg!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,12 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("orbit", help="pivot orbit of a graph")
     sp.add_argument("--graph", required=True, metavar="FILE")
-    sp.add_argument("--max-graphs", type=int, default=10**6)
+    sp.add_argument("--max-graphs", type=_at_least_one, default=10**6)
 
     sp = sub.add_parser("verify", help="randomized property verification")
     sp.add_argument("--prop", required=True, choices=VERIFY_PROPS)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--size", type=int, default=6)
+    sp.add_argument("--trials", type=_at_least_one, default=100)
+    sp.add_argument("--size", type=_at_least_one, default=6)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--field", choices=(GF2, RATIONAL), default=GF2)
     return p
@@ -128,8 +137,10 @@ def _cmd_nullity(args) -> int:
 
 def _cmd_pseq(args) -> int:
     A = parse_matrix(_read(args.matrix))
-    P = setsystems.partition_sequence_of(A)
-    print(format_partition_sequence(P, norm_only=args.norm_only), end="")
+    if args.norm_only:
+        print(f"norm: {format_norm(setsystems.nullity_histogram(A))}")
+    else:
+        print(format_partition_sequence(setsystems.partition_sequence_of(A)), end="")
     return 0
 
 
@@ -180,8 +191,7 @@ def _cmd_walks(args) -> int:
 def _cmd_distribution(args) -> int:
     s = circuits.parse_dos(args.dos)
     dist = circuits.walk_distribution(s)
-    P = setsystems.partition_sequence_of(circuits.overlap_graph(s))
-    alg = setsystems.norm(P)
+    alg = setsystems.nullity_histogram(circuits.overlap_graph(s))
     print(f"distribution: {format_norm(dist)}")
     print(f"norm: {format_norm(alg)}")
     ok = dist == alg
@@ -207,11 +217,11 @@ def _verify_trial(prop: str, rng: random.Random, size: int, field: str) -> bool:
     if prop == "cohn-lempel":
         s = randgen.random_dos(rng, n)
         domain = circuits.dos_domain(s)
-        for bits in range(1 << n):
-            walks, alg = circuits.cohn_lempel_check(s, SubsetMask(domain, bits))
-            if walks != alg:
-                return False
-        return True
+        nullities = setsystems.subset_nullities(circuits.overlap_graph(s))
+        return all(
+            len(circuits.trace_partition(s, SubsetMask(domain, bits))) == k + 1
+            for bits, k in enumerate(nullities)
+        )
     if prop == "recursion":
         if field == GF2:
             G = randgen.random_graph(rng, n)
@@ -232,11 +242,9 @@ def _verify_trial(prop: str, rng: random.Random, size: int, field: str) -> bool:
     X = randgen.random_valid_pivot_subset(rng, A)
     if prop == "nullity-invariance":
         if field == GF2:
-            B = pivot(A, X)
-            return all(
-                nullity_by_bits(B, y) == nullity_by_bits(A, y ^ X.bits)
-                for y in range(1 << n)
-            )
+            before = setsystems.subset_nullities(A)
+            after = setsystems.subset_nullities(pivot(A, X))
+            return all(k == before[y ^ X.bits] for y, k in enumerate(after))
         Y = randgen.random_subset(rng, A.domain)
         a, b = nullity_after_pivot(A, X, Y)
         return a == b

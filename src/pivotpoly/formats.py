@@ -139,16 +139,15 @@ def format_norm(counts) -> str:
     return "(" + ",".join(str(c) for c in counts) + ")"
 
 
-def format_partition_sequence(P: PartitionSequence, norm_only: bool = False) -> str:
+def format_partition_sequence(P: PartitionSequence) -> str:
     """One line per nonempty class, then the norm vector.
 
     Class members print as sorted label sets ordered by mask value.
     """
     lines = []
-    if not norm_only:
-        for i, cls in enumerate(P.classes):
-            if cls:
-                members = ",".join(str(X) for X in P.class_sets(i))
-                lines.append(f"{i}: {{{members}}}")
+    for i, cls in enumerate(P.classes):
+        if cls:
+            members = ",".join(str(X) for X in P.class_sets(i))
+            lines.append(f"{i}: {{{members}}}")
     lines.append(f"norm: {format_norm(norm(P))}")
     return "\n".join(lines) + "\n"

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import edge_complement, local_complement, require_graph
-from .matrix import GF2, Matrix, SubsetMask, delete_label, principal_submatrix
+from .matrix import Matrix, SubsetMask, delete_label
 from .pivot import pivot
-from .setsystems import ENUMERATION_CAP, nullity_histogram
+from .setsystems import nullity_histogram
 
 __all__ = [
     "Poly",
@@ -109,37 +109,12 @@ class Poly:
         return " ".join(str(c) for c in self.coeffs) if self.coeffs else "0"
 
 
-def _zero_line_bits(A: Matrix) -> int:
-    """Labels whose entire row and column vanish, as a bitmask."""
-    out = 0
-    for i in range(A.n):
-        if A.field == GF2:
-            if A.rows[i] == 0 and all(not A.rows[r] >> i & 1 for r in range(A.n)):
-                out |= 1 << i
-        else:
-            if all(not A.rows[i][j] for j in range(A.n)) and all(
-                not A.rows[r][i] for r in range(A.n)
-            ):
-                out |= 1 << i
-    return out
-
-
 def nullity_polynomial(A: Matrix) -> Poly:
     """Sum of y^(nullity of A[S]) over all subsets S.
 
     Coefficient i counts the subsets of nullity i, so the coefficients are
-    non-negative and total 2^n.  A label with an all-zero row and column
-    contributes a factor (1 + y) and is peeled off before the sweep.
+    non-negative and total 2^n.
     """
-    if A.n > ENUMERATION_CAP:
-        raise ValueError(
-            f"domain size {A.n} exceeds the subset enumeration cap {ENUMERATION_CAP}"
-        )
-    zero = _zero_line_bits(A)
-    if zero:
-        keep = SubsetMask(A.domain, ((1 << A.n) - 1) ^ zero)
-        base = nullity_polynomial(principal_submatrix(A, keep))
-        return base * Poly((1, 1)) ** zero.bit_count()
     return Poly.of(nullity_histogram(A))
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "determinant",
     "inverse",
     "identity_outside",
-    "schur_complement",
     "mat_mul",
     "mat_vec",
 ]
@@ -502,39 +501,6 @@ def identity_outside(A: Matrix, X: SubsetMask) -> Matrix:
         for i in range(n)
     )
     return Matrix(RATIONAL, A.domain, rows)
-
-
-def schur_complement(A: Matrix, X: SubsetMask) -> Matrix:
-    """S - R P^(-1) Q for the block split on X; needs A[X] nonsingular."""
-    _check_domain(A, X)
-    if X.bits == 0:
-        return A
-    comp = X.complement()
-    xi = X.indices()
-    ci = comp.indices()
-    if A.field == GF2:
-        k = len(xi)
-        P = [compact_bits(A.rows[i], xi) for i in xi]
-        Pinv = f2_invert_rows(P, k)
-        if Pinv is None:
-            raise PivotUndefinedError(f"pivot block singular: A[{X}]", X)
-        Q = [compact_bits(A.rows[i], ci) for i in xi]
-        R = [compact_bits(A.rows[i], xi) for i in ci]
-        S = [compact_bits(A.rows[i], ci) for i in ci]
-        RPQ = f2_mul_rows(f2_mul_rows(R, Pinv), Q)
-        return Matrix(GF2, comp.labels(), tuple(s ^ t for s, t in zip(S, RPQ)))
-    P = [[A.rows[i][j] for j in xi] for i in xi]
-    Pinv = q_invert(P)
-    if Pinv is None:
-        raise PivotUndefinedError(f"pivot block singular: A[{X}]", X)
-    Q = [[A.rows[i][j] for j in ci] for i in xi]
-    R = [[A.rows[i][j] for j in xi] for i in ci]
-    S = [[A.rows[i][j] for j in ci] for i in ci]
-    RPQ = q_mul(q_mul(R, Pinv), Q, p=len(ci))
-    rows = tuple(
-        tuple(S[r][c] - RPQ[r][c] for c in range(len(ci))) for r in range(len(ci))
-    )
-    return Matrix(RATIONAL, comp.labels(), rows)
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:

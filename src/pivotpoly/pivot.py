@@ -31,6 +31,7 @@ from .matrix import (
 
 __all__ = [
     "pivot",
+    "schur_complement",
     "verify_partial_inverse",
     "nullity_after_pivot",
     "tucker_determinant_check",
@@ -115,6 +116,14 @@ def _pivot_q(rows, xi: Sequence[int], ci: Sequence[int]):
             row[j] = bottom_right[a][c]
         out[i] = tuple(row)
     return tuple(out)
+
+
+def schur_complement(A: Matrix, X: SubsetMask) -> Matrix:
+    """S - R P^(-1) Q for the block split on X; needs A[X] nonsingular.
+
+    This is the block of the pivot A*X outside X.
+    """
+    return principal_submatrix(pivot(A, X), X.complement())
 
 
 def verify_partial_inverse(A: Matrix, X: SubsetMask, xs: Sequence) -> bool:

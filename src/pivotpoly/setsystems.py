@@ -89,43 +89,36 @@ class PartitionSequence:
         raise KeyError(str(X))
 
 
-def _check_cap(A: Matrix) -> None:
+def subset_nullities(A: Matrix) -> list[int]:
+    """Nullity of A[S] for every subset, indexed by bitmask value.
+
+    This is the one exhaustive sweep: the histogram, the set system and the
+    partition sequence are all read off its list.
+    """
     if A.n > ENUMERATION_CAP:
         raise ValueError(
             f"domain size {A.n} exceeds the subset enumeration cap {ENUMERATION_CAP}"
         )
-
-
-def subset_nullities(A: Matrix) -> list[int]:
-    """Nullity of A[S] for every subset, indexed by bitmask value."""
-    _check_cap(A)
     return [nullity_by_bits(A, m) for m in range(1 << A.n)]
 
 
 def nullity_histogram(A: Matrix) -> tuple[int, ...]:
     """How many subsets fall in each nullity class; sums to 2^n."""
-    _check_cap(A)
-    counts = [0] * (A.n + 1)
-    for m in range(1 << A.n):
-        counts[nullity_by_bits(A, m)] += 1
-    return tuple(counts)
+    nullities = subset_nullities(A)
+    return tuple(nullities.count(i) for i in range(A.n + 1))
 
 
 def set_system_of(A: Matrix) -> SetSystem:
     """All subsets whose principal submatrix is nonsingular; always holds the empty set."""
-    _check_cap(A)
-    members = frozenset(
-        m for m in range(1 << A.n) if nullity_by_bits(A, m) == 0
-    )
+    members = frozenset(m for m, k in enumerate(subset_nullities(A)) if k == 0)
     return SetSystem(A.domain, members)
 
 
 def partition_sequence_of(A: Matrix) -> PartitionSequence:
     """Classify every subset of the domain by the nullity of its submatrix."""
-    _check_cap(A)
-    buckets: list[set[int]] = [set() for _ in range(A.n + 1)]
-    for m in range(1 << A.n):
-        buckets[nullity_by_bits(A, m)].add(m)
+    buckets: list[list[int]] = [[] for _ in range(A.n + 1)]
+    for m, k in enumerate(subset_nullities(A)):
+        buckets[k].append(m)
     return PartitionSequence(A.domain, tuple(frozenset(b) for b in buckets))
 
 

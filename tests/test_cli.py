@@ -1,7 +1,9 @@
 import random
+import re
 
 import pytest
 
+from pivotpoly import circuits, cli
 from pivotpoly.cli import main
 from pivotpoly.formats import (
     FormatError,
@@ -11,7 +13,7 @@ from pivotpoly.formats import (
     parse_matrix,
 )
 from pivotpoly.randgen import random_graph, random_matrix
-from pivotpoly import GF2, RATIONAL
+from pivotpoly import GF2, RATIONAL, Matrix
 
 MATRIX_Q = """\
 field q
@@ -147,6 +149,25 @@ def test_pseq_norm_only(matrix_file, capsys):
     assert capsys.readouterr().out == "norm: (7,1,0,0)\n"
 
 
+def test_pseq_norm_only_is_last_line_of_listing(tmp_path, capsys):
+    rng = random.Random(17)
+    path = tmp_path / "m.mat"
+    for _ in range(30):
+        field = rng.choice([GF2, RATIONAL])
+        n = rng.randint(1, 7)
+        A = random_matrix(rng, field, n)
+        entries = A.to_entries()
+        for i in range(n):
+            if rng.random() < 0.3:
+                for j in range(n):
+                    entries[i][j] = entries[j][i] = 0
+        path.write_text(format_matrix(Matrix.from_entries(field, A.domain, entries)))
+        assert main(["pseq", "--matrix", str(path)]) == 0
+        listing = capsys.readouterr().out
+        assert main(["pseq", "--matrix", str(path), "--norm-only"]) == 0
+        assert capsys.readouterr().out == listing.splitlines(keepends=True)[-1]
+
+
 def test_pseq_full_listing(matrix_file, capsys):
     assert main(["pseq", "--matrix", matrix_file]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -243,6 +264,29 @@ def test_verify_command(prop, field, capsys):
     assert capsys.readouterr().out == "20/20 pass\n"
 
 
+def _verify_counts(prop, capsys):
+    code = main(["verify", "--prop", prop, "--trials", "20", "--size", "5",
+                 "--seed", "42", "--field", "f2"])
+    out = capsys.readouterr().out
+    passed, trials = map(int, re.fullmatch(r"(\d+)/(\d+) pass\n", out).groups())
+    return code, passed, trials
+
+
+def test_verify_nullity_invariance_catches_wrong_pivot(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "pivot", lambda A, X: A)
+    code, passed, trials = _verify_counts("nullity-invariance", capsys)
+    assert code == 1 and passed < trials == 20
+
+
+def test_verify_cohn_lempel_catches_wrong_walk_count(monkeypatch, capsys):
+    real = circuits.trace_partition
+    monkeypatch.setattr(
+        circuits, "trace_partition", lambda s, X: real(s, X).walks + ((),)
+    )
+    code, passed, trials = _verify_counts("cohn-lempel", capsys)
+    assert code == 1 and passed < trials == 20
+
+
 def test_verify_is_deterministic(capsys):
     args = ["verify", "--prop", "tucker", "--trials", "10", "--size", "5",
             "--seed", "9", "--field", "q"]
@@ -274,3 +318,21 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,flag,message",
+    [
+        (["verify", "--prop", "tucker", "--trials", "-5"], "--trials", "must be at least 1"),
+        (["verify", "--prop", "tucker", "--trials", "0"], "--trials", "must be at least 1"),
+        (["verify", "--prop", "tucker", "--size", "0"], "--size", "must be at least 1"),
+        (["verify", "--prop", "tucker", "--trials", "x"], "--trials", "invalid int value"),
+        (["orbit", "--graph", "g", "--max-graphs", "0"], "--max-graphs", "must be at least 1"),
+    ],
+)
+def test_count_flags_below_one_are_usage_errors(argv, flag, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {message}" in err
