@@ -80,14 +80,7 @@ def local_complement(G: Matrix, u: str) -> Matrix:
         raise PivotUndefinedError(
             f"elementary pivot undefined: no loop at {u}", SubsetMask(G.domain, 1 << i)
         )
-    hood = G.rows[i] & ~(1 << i)
-    rows = list(G.rows)
-    m = hood
-    while m:
-        v = (m & -m).bit_length() - 1
-        rows[v] ^= hood
-        m &= m - 1
-    return Matrix(GF2, G.domain, tuple(rows))
+    return Matrix(GF2, G.domain, _elementary_pivot_rows(G.rows, 1 << i))
 
 
 def edge_complement(G: Matrix, u: str, v: str) -> Matrix:
@@ -112,55 +105,61 @@ def edge_complement(G: Matrix, u: str, v: str) -> Matrix:
             f"elementary pivot undefined: loop on an endpoint of {{{u},{v}}}",
             SubsetMask(G.domain, (1 << i) | (1 << j)),
         )
-    closed_u = G.rows[i] | (1 << i)
-    closed_v = G.rows[j] | (1 << j)
-    only_u = closed_u & ~closed_v
-    only_v = closed_v & ~closed_u
-    both = closed_u & closed_v
-    rows = list(G.rows)
-    for cls, others in ((only_u, only_v | both), (only_v, only_u | both), (both, only_u | only_v)):
+    return Matrix(GF2, G.domain, _elementary_pivot_rows(G.rows, (1 << i) | (1 << j)))
+
+
+def _elementary_pivot_rows(rows: tuple[int, ...], part: int) -> tuple[int, ...]:
+    """G*X on packed graph rows for an applicable elementary pivot X: every
+    vertex of a class toggles its adjacencies to the class's partners."""
+    i = (part & -part).bit_length() - 1
+    j = part.bit_length() - 1
+    if i == j:
+        hood = rows[i] & ~part
+        classes = ((hood, hood),)
+    else:
+        closed_u = rows[i] | (1 << i)
+        closed_v = rows[j] | (1 << j)
+        only_u = closed_u & ~closed_v
+        only_v = closed_v & ~closed_u
+        both = closed_u & closed_v
+        classes = ((only_u, only_v | both), (only_v, only_u | both), (both, only_u | only_v))
+    out = list(rows)
+    for cls, others in classes:
         m = cls
         while m:
             x = (m & -m).bit_length() - 1
-            rows[x] ^= others
+            out[x] ^= others
             m &= m - 1
-    return Matrix(GF2, G.domain, tuple(rows))
+    return tuple(out)
 
 
-def _apply_elementary(G: Matrix, part_bits: int) -> Matrix:
-    if part_bits.bit_count() == 1:
-        return local_complement(G, G.domain[part_bits.bit_length() - 1])
-    i = (part_bits & -part_bits).bit_length() - 1
-    j = part_bits.bit_length() - 1
-    return edge_complement(G, G.domain[i], G.domain[j])
-
-
-def _elementary_parts_bits(G: Matrix, within: "int | None" = None) -> list[int]:
-    """Applicable elementary pivots as bitmasks: loops first by label, then
-    loopless edges in lexicographic order, optionally confined to a mask."""
-    scope = ((1 << G.n) - 1) if within is None else within
-    loops = []
-    edges = []
-    for i in range(G.n):
-        if not scope >> i & 1:
-            continue
-        if G.rows[i] >> i & 1:
-            loops.append(1 << i)
-            continue
-        for j in range(i + 1, G.n):
-            if (
-                scope >> j & 1
-                and G.rows[i] >> j & 1
-                and not G.rows[j] >> j & 1
-            ):
-                edges.append((1 << i) | (1 << j))
-    return loops + edges
+def _elementary_parts(rows: tuple[int, ...], within: int):
+    """Applicable elementary pivots of packed graph rows inside a mask, as
+    bitmasks: loops first by label, then loopless edges in lexicographic order."""
+    m, looped = within, 0
+    while m:
+        low = m & -m
+        m ^= low
+        if rows[low.bit_length() - 1] & low:
+            looped |= low
+            yield low
+    m = free = within & ~looped
+    while m:
+        low = m & -m
+        m ^= low
+        later = rows[low.bit_length() - 1] & free & -(low << 1)
+        while later:
+            high = later & -later
+            later ^= high
+            yield low | high
 
 
 def elementary_pivots(G: Matrix) -> tuple[SubsetMask, ...]:
     """The applicable elementary pivots of G: loops and loopless edges."""
     require_graph(G)
-    return tuple(SubsetMask(G.domain, b) for b in _elementary_parts_bits(G))
+    return tuple(
+        SubsetMask(G.domain, b) for b in _elementary_parts(G.rows, (1 << G.n) - 1)
+    )
 
 
 def elementary_decomposition(G: Matrix, Y: SubsetMask) -> list[SubsetMask]:
@@ -177,17 +176,17 @@ def elementary_decomposition(G: Matrix, Y: SubsetMask) -> list[SubsetMask]:
         raise ValueError("subset domain differs from graph domain")
     if nullity_by_bits(G, Y.bits) != 0:
         raise PivotUndefinedError(f"pivot undefined: G[{Y}] singular", Y)
-    parts = _decompose(G, Y.bits)
+    parts = _decompose(G.rows, Y.bits)
     if parts is None:
         raise RuntimeError(f"no elementary decomposition found for {Y}")
     return [SubsetMask(G.domain, b) for b in parts]
 
 
-def _decompose(G: Matrix, remaining: int):
+def _decompose(rows: tuple[int, ...], remaining: int):
     if remaining == 0:
         return []
-    for part in _elementary_parts_bits(G, within=remaining):
-        rest = _decompose(_apply_elementary(G, part), remaining ^ part)
+    for part in _elementary_parts(rows, remaining):
+        rest = _decompose(_elementary_pivot_rows(rows, part), remaining ^ part)
         if rest is not None:
             return [part] + rest
     return None
@@ -210,18 +209,22 @@ def pivot_orbit(G: Matrix, max_graphs: int = 10**6) -> PivotOrbit:
     """Breadth-first closure of G under all pivots.
 
     Every pivot factors into elementary ones, so expanding only loops and
-    loopless edges reaches the whole orbit.
+    loopless edges reaches the whole orbit.  The orbit always contains G,
+    so ``max_graphs`` must be at least 1.
     """
     require_graph(G)
-    seen: dict[Matrix, int] = {G: 0}
-    order = [G]
+    if max_graphs < 1:
+        raise ValueError(f"max_graphs must be at least 1, got {max_graphs}")
+    full = (1 << G.n) - 1
+    seen = {G.rows: 0}
+    order = [G.rows]
     raw_moves: list[tuple[int, int, int]] = []
-    queue = deque([G])
+    queue = deque([G.rows])
     while queue:
-        H = queue.popleft()
-        hi = seen[H]
-        for part in _elementary_parts_bits(H):
-            K = _apply_elementary(H, part)
+        rows = queue.popleft()
+        hi = seen[rows]
+        for part in _elementary_parts(rows, full):
+            K = _elementary_pivot_rows(rows, part)
             ki = seen.get(K)
             if ki is None:
                 if len(order) >= max_graphs:
@@ -233,9 +236,9 @@ def pivot_orbit(G: Matrix, max_graphs: int = 10**6) -> PivotOrbit:
                 order.append(K)
                 queue.append(K)
             raw_moves.append((hi, part, ki))
-    ranking = sorted(range(len(order)), key=lambda idx: order[idx].rows)
+    ranking = sorted(range(len(order)), key=order.__getitem__)
     relabel = {old: new for new, old in enumerate(ranking)}
-    graphs = tuple(order[idx] for idx in ranking)
+    graphs = tuple(Matrix(GF2, G.domain, order[idx]) for idx in ranking)
     dedup = set()
     for i, part, j in raw_moves:
         a, b = sorted((relabel[i], relabel[j]))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import edge_complement, local_complement, require_graph
+from .graphs import _elementary_parts, _elementary_pivot_rows, require_graph
 from .matrix import Matrix, SubsetMask, delete_label
 from .pivot import pivot
 from .setsystems import nullity_histogram
@@ -136,30 +136,29 @@ def nullity_from_interlace(p: Poly) -> Poly:
 def interlace_recursive(G: Matrix) -> Poly:
     """Evaluate the interlace polynomial of a graph by deletion recursion.
 
-    A discrete graph on n vertices contributes y^n.  Otherwise, with u the
-    smallest looped vertex, q(G) = q(G minus u) + q(G locally complemented at
-    u, minus u); if no vertex is looped, the smallest edge {u,v} gives
-    q(G) = q(G minus u) + q(G edge-complemented on {u,v}, minus u).
+    A discrete graph on n vertices contributes y^n.  Otherwise X is the
+    first elementary pivot (the smallest looped vertex, else the smallest
+    edge between loopless vertices), u is the smallest vertex of X, and
+    q(G) = q(G - u) + q(G*X - u).
     """
     require_graph(G)
-    return _recurse(G)
+    return _recurse(G.rows)
 
 
-def _recurse(G: Matrix) -> Poly:
-    if not any(G.rows):
-        return Poly.monomial(G.n)
-    for i in range(G.n):
-        if G.rows[i] >> i & 1:
-            u = G.domain[i]
-            return _recurse(delete_label(G, u)) + _recurse(
-                delete_label(local_complement(G, u), u)
-            )
-    i = next(idx for idx in range(G.n) if G.rows[idx])
-    j = (G.rows[i] & -G.rows[i]).bit_length() - 1
-    u, v = G.domain[i], G.domain[j]
-    return _recurse(delete_label(G, u)) + _recurse(
-        delete_label(edge_complement(G, u, v), u)
+def _recurse(rows: tuple[int, ...]) -> Poly:
+    part = next(_elementary_parts(rows, (1 << len(rows)) - 1), 0)
+    if not part:
+        return Poly.monomial(len(rows))
+    u = (part & -part).bit_length() - 1
+    return _recurse(_delete(rows, u)) + _recurse(
+        _delete(_elementary_pivot_rows(rows, part), u)
     )
+
+
+def _delete(rows: tuple[int, ...], u: int) -> tuple[int, ...]:
+    """Packed rows without row and column u; higher columns shift down."""
+    low = (1 << u) - 1
+    return tuple((r & low) | (r >> 1 & ~low) for r in rows[:u] + rows[u + 1 :])
 
 
 def verify_recursion(A: Matrix, u: str, X: SubsetMask) -> Poly:

@@ -160,10 +160,7 @@ def tucker_determinant_check(A: Matrix, X: SubsetMask, Y: SubsetMask) -> bool:
     lhs = determinant(principal_submatrix(B, Y))
     det_x = determinant(principal_submatrix(A, X))
     det_xy = determinant(principal_submatrix(A, X ^ Y))
-    if A.field == GF2:
-        # det A[X] = 1 here, so the division is trivial.
-        return lhs == det_xy
-    return lhs == det_xy / det_x
+    return lhs * det_x == det_xy
 
 
 def pivot_composition(A: Matrix, X: SubsetMask, Y: SubsetMask) -> Matrix:

@@ -21,7 +21,10 @@ from pivotpoly import (
     pivot_orbit,
     set_system_of,
 )
+import pivotpoly.graphs as graphs_module
+import pivotpoly.interlace as interlace_module
 from pivotpoly.graphs import require_graph
+from pivotpoly.interlace import interlace_recursive
 from pivotpoly.randgen import random_graph
 
 from samples import (
@@ -234,6 +237,97 @@ def test_orbit_overflow_guard():
     graphs = small_orbit_graphs()
     with pytest.raises(OrbitOverflowError):
         pivot_orbit(graphs[0], max_graphs=2)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        graph_from_edges(["u"], []),
+        graph_from_edges(["u", "v"], [("u", "v")]),
+        small_orbit_graphs()[0],
+    ],
+    ids=["loopless-vertex", "lone-edge", "small-orbit"],
+)
+@pytest.mark.parametrize("cap", [0, -1])
+def test_orbit_cap_below_one_is_rejected(G, cap):
+    # The orbit always contains G, so no cap below 1 can be met; graphs
+    # without any elementary pivot used to slip through as one-graph orbits.
+    with pytest.raises(ValueError, match="max_graphs"):
+        pivot_orbit(G, max_graphs=cap)
+
+
+def loopless(G):
+    return Matrix(GF2, G.domain, tuple(r & ~(1 << i) for i, r in enumerate(G.rows)))
+
+
+def random_graphs_both_kinds(seed, count, max_n):
+    rng = random.Random(seed)
+    for k in range(count):
+        G = random_graph(rng, rng.randint(1, max_n))
+        yield loopless(G) if k % 2 else G
+
+
+def test_orbit_equals_pivots_on_the_set_system():
+    for G in random_graphs_both_kinds(29, 60, 7):
+        orbit = pivot_orbit(G)
+        expected = {
+            pivot(G, SubsetMask(G.domain, bits)) for bits in set_system_of(G).members
+        }
+        assert set(orbit.graphs) == expected
+        assert len(orbit.graphs) == len(expected)
+        assert list(orbit.graphs) == sorted(orbit.graphs, key=lambda H: H.rows)
+        for a, X, b in orbit.moves:
+            assert a <= b
+            assert pivot(orbit.graphs[a], X) == orbit.graphs[b]
+
+
+def test_elementary_pivots_match_brute_force_listing():
+    for G in random_graphs_both_kinds(31, 200, 7):
+        looped = [i for i in range(G.n) if G.entry_at(i, i)]
+        expected = [1 << i for i in looped] + [
+            (1 << i) | (1 << j)
+            for i in range(G.n)
+            for j in range(i + 1, G.n)
+            if G.entry_at(i, j) and i not in looped and j not in looped
+        ]
+        assert [X.bits for X in elementary_pivots(G)] == expected
+
+
+# --- validation at the boundary ---------------------------------------------------------
+
+def count_checks_and_builds(monkeypatch):
+    counts = {"checks": 0, "matrices": 0}
+    real_check = graphs_module.require_graph
+    real_init = Matrix.__post_init__
+
+    def counting_check(G):
+        counts["checks"] += 1
+        real_check(G)
+
+    def counting_init(self):
+        counts["matrices"] += 1
+        real_init(self)
+
+    for module in (graphs_module, interlace_module):
+        monkeypatch.setattr(module, "require_graph", counting_check)
+    monkeypatch.setattr(Matrix, "__post_init__", counting_init)
+    return counts
+
+
+def test_recursion_checks_its_graph_once_and_builds_no_matrix(monkeypatch):
+    G = random_graph(random.Random(41), 8)
+    assert any(G.rows)
+    counts = count_checks_and_builds(monkeypatch)
+    interlace_recursive(G)
+    assert counts == {"checks": 1, "matrices": 0}
+
+
+def test_orbit_builds_one_matrix_per_orbit_graph(monkeypatch):
+    G = random_graph(random.Random(43), 8)
+    counts = count_checks_and_builds(monkeypatch)
+    orbit = pivot_orbit(G)
+    assert len(orbit.graphs) > 2
+    assert counts == {"checks": 1, "matrices": len(orbit.graphs)}
 
 
 # --- reconstruction ------------------------------------------------------------------------
