@@ -138,26 +138,25 @@ class WalkPartition:
         return len(self.walks)
 
 
-def _successors(s: Sequence[str], flip_bits: int, domain: Sequence[str]) -> list[int]:
-    """succ[a] is the arc leaving the head of arc a under the chosen pairing.
+def _arc_tables(s: Sequence[str], domain: Sequence[str]) -> tuple[list[int], list[int], list[int]]:
+    """Per-arc successor tables of a validated string: (straight, flipped, head).
 
     The circuit pairing sends the arc entering an occurrence to the arc
-    leaving that same occurrence; flipped vertices route to the other
-    occurrence instead.
+    leaving that same occurrence (``straight``); a flipped vertex routes to
+    the arc leaving its other occurrence instead (``flipped``).  ``head[a]``
+    is the domain index of the vertex arc a enters, so under a flip mask
+    arc a continues to ``flipped[a]`` when bit ``head[a]`` is set.
     """
     L = len(s)
     occ = _occurrences(s)
     position = {lab: i for i, lab in enumerate(domain)}
-    succ = [0] * L
-    for a in range(L):
-        t = (a + 1) % L
-        head = s[t]
-        if flip_bits >> position[head] & 1:
-            p, q = occ[head]
-            succ[a] = q if t == p else p
-        else:
-            succ[a] = t
-    return succ
+    straight = [(a + 1) % L for a in range(L)]
+    flipped = []
+    for t in straight:
+        p, q = occ[s[t]]
+        flipped.append(q if t == p else p)
+    head = [position[s[t]] for t in straight]
+    return straight, flipped, head
 
 
 def trace_partition(s: Sequence[str], X: SubsetMask) -> WalkPartition:
@@ -166,7 +165,8 @@ def trace_partition(s: Sequence[str], X: SubsetMask) -> WalkPartition:
     domain = dos_domain(s)
     if X.domain != domain:
         raise ValueError("flip set domain differs from the string's letters")
-    succ = _successors(s, X.bits, domain)
+    straight, flipped, head = _arc_tables(s, domain)
+    succ = [f if X.bits >> h & 1 else t for t, f, h in zip(straight, flipped, head)]
     L = len(s)
     visited = [False] * L
     walks = []
@@ -200,7 +200,8 @@ def walk_distribution(s: Sequence[str]) -> tuple[int, ...]:
 
     Entry i counts the subsets that split the arcs into i+1 closed walks;
     entry 0 is the number of Euler circuits of the digraph.  Matches the
-    norm of the overlap graph's partition sequence.
+    norm of the overlap graph's partition sequence.  The string is checked
+    and its successor tables built once; each subset then only counts walks.
     """
     s = check_double_occurrence(s)
     domain = dos_domain(s)
@@ -209,10 +210,22 @@ def walk_distribution(s: Sequence[str]) -> tuple[int, ...]:
         raise ValueError(
             f"alphabet size {n} exceeds the subset enumeration cap {ENUMERATION_CAP}"
         )
+    arcs = list(zip(*_arc_tables(s, domain)))
+    L = len(s)
     counts = [0] * (n + 1)
     for bits in range(1 << n):
-        part = trace_partition(s, SubsetMask(domain, bits))
-        counts[len(part) - 1] += 1
+        succ = [f if bits >> h & 1 else t for t, f, h in arcs]
+        visited = [False] * L
+        walks = 0
+        for start in range(L):
+            if visited[start]:
+                continue
+            walks += 1
+            a = start
+            while not visited[a]:
+                visited[a] = True
+                a = succ[a]
+        counts[walks - 1] += 1
     return tuple(counts)
 
 

@@ -54,6 +54,8 @@ class Poly:
 
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> "Poly":
+        if power < 0:
+            raise ValueError(f"negative power {power}: polynomials have no y^-k terms")
         if coeff == 0:
             return cls(())
         return cls((0,) * power + (coeff,))
@@ -82,6 +84,8 @@ class Poly:
         return Poly.of(out)
 
     def __pow__(self, exponent: int) -> "Poly":
+        if exponent < 0:
+            raise ValueError(f"negative exponent {exponent}: polynomials have no inverses")
         result = Poly((1,))
         for _ in range(exponent):
             result = result * self

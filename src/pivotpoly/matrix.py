@@ -269,22 +269,30 @@ def f2_rank_rows(rows: Iterable[int]) -> int:
     return rnk
 
 
-def f2_invert_rows(rows: Sequence[int], n: int) -> "list[int] | None":
-    """Inverse of an n x n packed GF(2) matrix, or None if singular."""
-    aug = [rows[i] | 1 << (n + i) for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r] >> col & 1:
-                piv = r
-                break
+def f2_pivot_rows(rows: Sequence[int], bits: int) -> "tuple[int, ...] | None":
+    """Rows of the pivot on X = ``bits``, or None if the block on X is singular.
+
+    Row i packs the relation A_i x + y_i = 0 as 2n bits: x low, y high.
+    Gauss-Jordan on each column j of X, with pivot rows taken from X only,
+    leaves x_j in row j and in no other row.  Each row then gives its output
+    (x_j for j in X, y_i outside X) in terms of y on X and x outside X,
+    which is the pivot's row.
+    """
+    n = len(rows)
+    rel = [r | 1 << (n + i) for i, r in enumerate(rows)]
+    for j in range(n):
+        if not bits >> j & 1:
+            continue
+        piv = next((k for k in range(j, n) if bits >> k & 1 and rel[k] >> j & 1), None)
         if piv is None:
             return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for r in range(n):
-            if r != col and aug[r] >> col & 1:
-                aug[r] ^= aug[col]
-    return [row >> n for row in aug]
+        rel[j], rel[piv] = rel[piv], rel[j]
+        p = rel[j]
+        for i in range(n):
+            if i != j and rel[i] >> j & 1:
+                rel[i] ^= p
+    outside = ((1 << n) - 1) ^ bits
+    return tuple(r & outside | r >> n & bits for r in rel)
 
 
 def f2_mul_rows(a_rows: Sequence[int], b_rows: Sequence[int]) -> list[int]:
@@ -307,15 +315,6 @@ def compact_bits(bits: int, positions: Sequence[int]) -> int:
     for jj, j in enumerate(positions):
         if bits >> j & 1:
             out |= 1 << jj
-    return out
-
-
-def scatter_bits(bits: int, positions: Sequence[int]) -> int:
-    """Inverse of :func:`compact_bits`: spread low-order bits to positions."""
-    out = 0
-    for jj, j in enumerate(positions):
-        if bits >> jj & 1:
-            out |= 1 << j
     return out
 
 
@@ -360,33 +359,36 @@ def q_rank_det(rows: Sequence[Sequence[Fraction]]) -> tuple[int, Fraction]:
     return r, Fraction(0)
 
 
-def q_invert(rows: Sequence[Sequence[Fraction]]) -> "list[list[Fraction]] | None":
-    """Gauss-Jordan inverse over the rationals, or None if singular."""
+def q_pivot_rows(rows: Sequence[Sequence[Fraction]], bits: int) -> "tuple | None":
+    """Rational twin of :func:`f2_pivot_rows`, on relation rows (A_i | -e_i).
+
+    Each pivot row is scaled to -1 on its column, so every row reads its
+    output directly: x_j for j in X, y_i outside.
+    """
     n = len(rows)
-    a = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col]:
-                piv = r
-                break
+    zero, minus_one = Fraction(0), Fraction(-1)
+    rel = [list(r) + [minus_one if t == i else zero for t in range(n)] for i, r in enumerate(rows)]
+    for j in range(n):
+        if not bits >> j & 1:
+            continue
+        piv = next((k for k in range(j, n) if bits >> k & 1 and rel[k][j]), None)
         if piv is None:
             return None
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        if pv != 1:
-            a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+        rel[j], rel[piv] = rel[piv], rel[j]
+        p = rel[j]
+        if p[j] != -1:
+            scale = -p[j]
+            p = rel[j] = [e / scale for e in p]
+        for i in range(n):
+            f = rel[i][j]
+            if i != j and f:
+                rel[i] = [e + f * d if d else e for e, d in zip(rel[i], p)]
+    return tuple(tuple(r[n + t] if bits >> t & 1 else r[t] for t in range(n)) for r in rel)
 
 
-def q_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]], p: "int | None" = None) -> list[list[Fraction]]:
-    """Product of rational matrices; pass p (columns of b) when b may be empty."""
-    if p is None:
-        p = len(b[0]) if b else 0
+def q_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Product of rational matrices."""
+    p = len(b[0]) if b else 0
     k = len(b)
     return [
         [sum((arow[t] * b[t][c] for t in range(k)), Fraction(0)) for c in range(p)]
@@ -469,17 +471,19 @@ def determinant(A: Matrix):
     return q_rank_det(A.rows)[1]
 
 
-def inverse(A: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrixError when the determinant is zero."""
+def pivot_rows(A: Matrix, bits: int) -> "tuple | None":
+    """Rows of the pivot of A on the columns in ``bits``; None if that block is singular."""
     if A.field == GF2:
-        inv = f2_invert_rows(A.rows, A.n)
-        if inv is None:
-            raise SingularMatrixError("matrix is singular")
-        return Matrix(GF2, A.domain, tuple(inv))
-    inv = q_invert(A.rows)
-    if inv is None:
+        return f2_pivot_rows(A.rows, bits)
+    return q_pivot_rows(A.rows, bits)
+
+
+def inverse(A: Matrix) -> Matrix:
+    """Exact inverse, the pivot on the full domain; raises SingularMatrixError when singular."""
+    rows = pivot_rows(A, (1 << A.n) - 1)
+    if rows is None:
         raise SingularMatrixError("matrix is singular")
-    return Matrix(RATIONAL, A.domain, tuple(tuple(r) for r in inv))
+    return Matrix(A.field, A.domain, rows)
 
 
 def identity_outside(A: Matrix, X: SubsetMask) -> Matrix:
@@ -512,7 +516,7 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     return Matrix(
         RATIONAL,
         A.domain,
-        tuple(tuple(r) for r in q_mul(A.rows, B.rows, p=A.n)),
+        tuple(tuple(r) for r in q_mul(A.rows, B.rows)),
     )
 
 

@@ -1,9 +1,10 @@
 """Principal pivot transform and the identities that constrain it.
 
-The pivot of A on X partially inverts A: the block indexed by X is inverted
-in place and the rest is adjusted to the Schur complement.  It is computed
-here by the block formula after permuting X to the front, then scattering
-the blocks back into the original label order.
+The pivot of A on X partially inverts A: A(x_X, x_C) = (y_X, y_C) holds
+exactly when A*X(y_X, x_C) = (x_X, y_C), where C is the complement of X.
+It is computed by solving that relation for (x_X, y_C) with one Gauss-Jordan
+elimination on the columns of X (``matrix.pivot_rows``); the inverse is the
+same elimination on the full domain.
 """
 
 from __future__ import annotations
@@ -12,21 +13,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .matrix import (
-    GF2,
     RATIONAL,
     Matrix,
     PivotUndefinedError,
     SubsetMask,
-    compact_bits,
     determinant,
-    f2_invert_rows,
-    f2_mul_rows,
     mat_vec,
     nullity,
+    pivot_rows,
     principal_submatrix,
-    q_invert,
-    q_mul,
-    scatter_bits,
 )
 
 __all__ = [
@@ -42,7 +37,7 @@ __all__ = [
 def pivot(A: Matrix, X: SubsetMask) -> Matrix:
     """The pivot A*X: invert the X block, with the complement adjusted.
 
-    In block form with P = A[X]:
+    The result, in block form with P = A[X]:
 
         (P | Q ; R | S)  ->  (P^-1 | -P^-1 Q ; R P^-1 | S - R P^-1 Q)
 
@@ -53,69 +48,10 @@ def pivot(A: Matrix, X: SubsetMask) -> Matrix:
         raise ValueError("subset domain differs from matrix domain")
     if X.bits == 0:
         return A
-    xi = X.indices()
-    ci = X.complement().indices()
-    if A.field == GF2:
-        rows = _pivot_f2(A.rows, xi, ci)
-    else:
-        rows = _pivot_q(A.rows, xi, ci)
+    rows = pivot_rows(A, X.bits)
     if rows is None:
         raise PivotUndefinedError(f"pivot undefined: A[{X}] singular", X)
     return Matrix(A.field, A.domain, rows)
-
-
-def _pivot_f2(rows: Sequence[int], xi: Sequence[int], ci: Sequence[int]):
-    k = len(xi)
-    P = [compact_bits(rows[i], xi) for i in xi]
-    Pinv = f2_invert_rows(P, k)
-    if Pinv is None:
-        return None
-    Q = [compact_bits(rows[i], ci) for i in xi]
-    R = [compact_bits(rows[i], xi) for i in ci]
-    S = [compact_bits(rows[i], ci) for i in ci]
-    top_right = f2_mul_rows(Pinv, Q)
-    bottom_left = f2_mul_rows(R, Pinv)
-    bottom_right = [s ^ t for s, t in zip(S, f2_mul_rows(bottom_left, Q))]
-    out = [0] * (len(xi) + len(ci))
-    for a, i in enumerate(xi):
-        out[i] = scatter_bits(Pinv[a], xi) | scatter_bits(top_right[a], ci)
-    for c, i in enumerate(ci):
-        out[i] = scatter_bits(bottom_left[c], xi) | scatter_bits(bottom_right[c], ci)
-    return tuple(out)
-
-
-def _pivot_q(rows, xi: Sequence[int], ci: Sequence[int]):
-    m = len(ci)
-    P = [[rows[i][j] for j in xi] for i in xi]
-    Pinv = q_invert(P)
-    if Pinv is None:
-        return None
-    Q = [[rows[i][j] for j in ci] for i in xi]
-    R = [[rows[i][j] for j in xi] for i in ci]
-    S = [[rows[i][j] for j in ci] for i in ci]
-    top_right = [[-e for e in row] for row in q_mul(Pinv, Q, p=m)]
-    bottom_left = q_mul(R, Pinv)
-    rpq = q_mul(bottom_left, Q, p=m)
-    bottom_right = [
-        [S[r][c] - rpq[r][c] for c in range(m)] for r in range(m)
-    ]
-    n = len(xi) + len(ci)
-    out: list[tuple[Fraction, ...]] = [()] * n
-    for a, i in enumerate(xi):
-        row = [Fraction(0)] * n
-        for b, j in enumerate(xi):
-            row[j] = Pinv[a][b]
-        for c, j in enumerate(ci):
-            row[j] = top_right[a][c]
-        out[i] = tuple(row)
-    for a, i in enumerate(ci):
-        row = [Fraction(0)] * n
-        for b, j in enumerate(xi):
-            row[j] = bottom_left[a][b]
-        for c, j in enumerate(ci):
-            row[j] = bottom_right[a][c]
-        out[i] = tuple(row)
-    return tuple(out)
 
 
 def schur_complement(A: Matrix, X: SubsetMask) -> Matrix:

@@ -26,9 +26,10 @@ __all__ = [
     "restrict",
 ]
 
-# Subsets are swept as bitmasks over the sorted domain; the sweep itself is
-# exponential, so sizes past ~20 are impractical long before this limit.
-ENUMERATION_CAP = 64
+# Subsets are swept as bitmasks over the sorted domain.  The sweep's list
+# alone holds 2^n ints (2^24 x 8 B = 128 MiB), and at about 8 us per subset a
+# GF(2) sweep takes seconds at n = 18, so past this size no sweep finishes.
+ENUMERATION_CAP = 24
 
 
 @dataclass(frozen=True)

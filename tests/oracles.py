@@ -98,3 +98,58 @@ def gauss_jordan_inverse(entries):
                 factor = work[r][col]
                 work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work]
+
+
+def gf2_gauss_jordan_inverse(entries):
+    """Mod-2 twin of gauss_jordan_inverse on 0/1 ints; None when singular."""
+    n = len(entries)
+    work = [
+        [int(entries[i][j]) & 1 for j in range(n)] + [int(i == j) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if work[r][col]:
+                piv = r
+                break
+        if piv is None:
+            return None
+        work[col], work[piv] = work[piv], work[col]
+        for r in range(n):
+            if r != col and work[r][col]:
+                work[r] = [x ^ y for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def block_formula_pivot(entries, xs, mod2=False):
+    """Textbook pivot on the index list xs, entry by entry; None when A[xs] is singular.
+
+    With P = A[xs], Q, R and S the other blocks, the pivot is
+    (P^-1 | -P^-1 Q ; R P^-1 | S - R P^-1 Q), each block left in place.
+    Over GF(2) (mod2=True) entries are 0/1 ints and every sum is taken mod 2.
+    """
+    n = len(entries)
+    P = [[entries[i][j] for j in xs] for i in xs]
+    Pinv = gf2_gauss_jordan_inverse(P) if mod2 else gauss_jordan_inverse(P)
+    if Pinv is None:
+        return None
+    at = {i: a for a, i in enumerate(xs)}
+    k = len(xs)
+
+    def entry(i, j):
+        if i in at and j in at:
+            v = Pinv[at[i]][at[j]]
+        elif i in at:
+            v = -sum(Pinv[at[i]][b] * entries[xs[b]][j] for b in range(k))
+        elif j in at:
+            v = sum(entries[i][xs[a]] * Pinv[a][at[j]] for a in range(k))
+        else:
+            v = entries[i][j] - sum(
+                entries[i][xs[a]] * Pinv[a][b] * entries[xs[b]][j]
+                for a in range(k)
+                for b in range(k)
+            )
+        return v % 2 if mod2 else Fraction(v)
+
+    return [[entry(i, j) for j in range(n)] for i in range(n)]

@@ -190,6 +190,19 @@ def test_distribution_matches_norm_random():
         assert dist[0] == count_euler_circuits(digraph_of(s))
 
 
+def test_distribution_matches_per_subset_traces():
+    # walk_distribution builds its successor tables once; tracing every
+    # subset separately with trace_partition is the reference.
+    rng = random.Random(13)
+    for _ in range(40):
+        s = random_dos(rng, rng.randint(1, 9))
+        domain = dos_domain(s)
+        expected = [0] * (len(domain) + 1)
+        for bits in range(1 << len(domain)):
+            expected[len(trace_partition(s, SubsetMask(domain, bits))) - 1] += 1
+        assert walk_distribution(s) == tuple(expected)
+
+
 def test_distribution_enumeration_cap():
     letters = [f"L{i:03d}" for i in range(65)]
     s = tuple(lab for lab in letters for _ in range(2))

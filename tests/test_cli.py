@@ -1,8 +1,13 @@
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pivotpoly
 from pivotpoly import circuits, cli
 from pivotpoly.cli import main
 from pivotpoly.formats import (
@@ -312,6 +317,30 @@ def test_exit_code_for_bad_file(tmp_path, capsys):
     bad.write_text("field q\na b\n1 2\n")
     assert main(["nullity", "--matrix", str(bad)]) == 2
     assert main(["nullity", "--matrix", str(tmp_path / "missing.mat")]) == 2
+
+
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(pivotpoly.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "pivotpoly", *argv],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+
+
+def test_sweeps_past_the_enumeration_cap_fail_fast(tmp_path):
+    # 25 labels means 2^25 subsets: both commands must refuse at once rather
+    # than start a sweep that cannot finish.
+    labels = [f"v{i:02d}" for i in range(25)]
+    zero = tmp_path / "zero25.mat"
+    zero.write_text("field f2\n" + " ".join(labels) + "\n" + ("0 " * 25 + "\n") * 25)
+    dos = " ".join(labels + labels)
+    for argv in (["pseq", "--matrix", str(zero), "--norm-only"], ["distribution", "--dos", dos]):
+        proc = _run_cli(*argv)
+        assert proc.returncode == 2, argv
+        assert "enumeration cap" in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_usage_error_exits_two():

@@ -61,6 +61,16 @@ def test_poly_arithmetic():
     assert str(Poly(())) == "0"
 
 
+def test_poly_rejects_negative_powers():
+    # Both used to fall through an empty loop or an empty pad and return 1.
+    with pytest.raises(ValueError, match="-2"):
+        Poly.of([1, 1]) ** -2
+    with pytest.raises(ValueError, match="-3"):
+        Poly.monomial(-3)
+    assert Poly.of([1, 1]) ** 0 == Poly.of([1])
+    assert Poly.monomial(0) == Poly.of([1])
+
+
 def test_poly_shift_worked():
     # (y+1)^2 shifted down by one is y^2
     assert Poly.of([1, 2, 1]).shift(-1) == Poly.of([0, 0, 1])

@@ -7,6 +7,7 @@ from pivotpoly import (
     GF2,
     RATIONAL,
     PivotUndefinedError,
+    SingularMatrixError,
     SubsetMask,
     determinant,
     identity_outside,
@@ -30,6 +31,7 @@ from pivotpoly.randgen import (
     random_vector,
 )
 
+from oracles import block_formula_pivot, gauss_jordan_inverse, gf2_gauss_jordan_inverse
 from samples import (
     SAMPLE_PIVOT_AB,
     pivot_pair_left,
@@ -65,17 +67,46 @@ def test_pivot_of_graph_pair():
     assert pivot(G, G.subset("1", "2", "3")) == pivot_pair_right()
 
 
+def test_pivot_matches_block_formula_oracle():
+    # Half the subsets are drawn uniformly, so singular blocks come up and
+    # must raise exactly where the oracle finds A[X] singular.
+    rng = random.Random(89)
+    for field in (GF2, RATIONAL):
+        singular = 0
+        for trial in range(320):
+            A = random_matrix(rng, field, rng.randint(1, 8))
+            if trial % 2:
+                X = SubsetMask(A.domain, rng.randrange(1 << A.n))
+            else:
+                X = random_valid_pivot_subset(rng, A)
+            expected = block_formula_pivot(A.to_entries(), X.indices(), mod2=field == GF2)
+            if expected is None:
+                singular += 1
+                with pytest.raises(PivotUndefinedError) as exc:
+                    pivot(A, X)
+                assert exc.value.subset == X
+            else:
+                assert pivot(A, X).to_entries() == expected
+        assert singular >= 10
+
+
 def test_pivot_on_full_domain_is_inverse():
     A = sample_rational_matrix()
     assert pivot(A, A.full_subset()) == inverse(A)
+    assert inverse(A).to_entries() == gauss_jordan_inverse(A.to_entries())
     rng = random.Random(5)
-    done = 0
-    while done < 20:
-        A = random_matrix(rng, GF2, rng.randint(1, 8))
-        if nullity(A) != 0:
-            continue
-        assert pivot(A, A.full_subset()) == inverse(A)
-        done += 1
+    for field, oracle in ((GF2, gf2_gauss_jordan_inverse), (RATIONAL, gauss_jordan_inverse)):
+        done = 0
+        while done < 20:
+            A = random_matrix(rng, field, rng.randint(1, 8))
+            expected = oracle(A.to_entries())
+            if expected is None:
+                with pytest.raises(SingularMatrixError, match="matrix is singular"):
+                    inverse(A)
+                continue
+            assert inverse(A).to_entries() == expected
+            assert pivot(A, A.full_subset()) == inverse(A)
+            done += 1
 
 
 def test_pivot_singular_block_raises_with_subset():
