@@ -29,6 +29,7 @@ __all__ = [
     "trace_partition",
     "walk_labels",
     "cohn_lempel_check",
+    "walk_counts",
     "walk_distribution",
     "count_euler_circuits",
     "canonical_rotation",
@@ -195,13 +196,12 @@ def cohn_lempel_check(s: Sequence[str], X: SubsetMask) -> tuple[int, int]:
     return len(part), nullity_by_bits(ov, X.bits) + 1
 
 
-def walk_distribution(s: Sequence[str]) -> tuple[int, ...]:
-    """Histogram over all flip subsets of (walk count - 1).
+def walk_counts(s: Sequence[str]) -> list[int]:
+    """The number of closed walks under every flip subset, indexed by mask value.
 
-    Entry i counts the subsets that split the arcs into i+1 closed walks;
-    entry 0 is the number of Euler circuits of the digraph.  Matches the
-    norm of the overlap graph's partition sequence.  The string is checked
-    and its successor tables built once; each subset then only counts walks.
+    The string is checked and its successor tables built once; each subset
+    then only counts walks.  By the Cohn-Lempel law entry X equals the
+    nullity of overlap[X] plus one.
     """
     s = check_double_occurrence(s)
     domain = dos_domain(s)
@@ -212,7 +212,7 @@ def walk_distribution(s: Sequence[str]) -> tuple[int, ...]:
         )
     arcs = list(zip(*_arc_tables(s, domain)))
     L = len(s)
-    counts = [0] * (n + 1)
+    counts = []
     for bits in range(1 << n):
         succ = [f if bits >> h & 1 else t for t, f, h in arcs]
         visited = [False] * L
@@ -225,8 +225,20 @@ def walk_distribution(s: Sequence[str]) -> tuple[int, ...]:
             while not visited[a]:
                 visited[a] = True
                 a = succ[a]
-        counts[walks - 1] += 1
-    return tuple(counts)
+        counts.append(walks)
+    return counts
+
+
+def walk_distribution(s: Sequence[str]) -> tuple[int, ...]:
+    """Histogram over all flip subsets of (walk count - 1).
+
+    Entry i counts the subsets that split the arcs into i+1 closed walks;
+    entry 0 is the number of Euler circuits of the digraph.  Matches the
+    norm of the overlap graph's partition sequence.
+    """
+    counts = walk_counts(s)
+    n = len(counts).bit_length() - 1  # one count per subset of n letters
+    return tuple(counts.count(i + 1) for i in range(n + 1))
 
 
 def count_euler_circuits(d: TwoInTwoOutDigraph) -> int:

@@ -216,12 +216,8 @@ def _verify_trial(prop: str, rng: random.Random, size: int, field: str) -> bool:
     n = rng.randint(1, size)
     if prop == "cohn-lempel":
         s = randgen.random_dos(rng, n)
-        domain = circuits.dos_domain(s)
         nullities = setsystems.subset_nullities(circuits.overlap_graph(s))
-        return all(
-            len(circuits.trace_partition(s, SubsetMask(domain, bits))) == k + 1
-            for bits, k in enumerate(nullities)
-        )
+        return circuits.walk_counts(s) == [k + 1 for k in nullities]
     if prop == "recursion":
         if field == GF2:
             G = randgen.random_graph(rng, n)

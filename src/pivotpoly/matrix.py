@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 GF2 = "f2"
@@ -102,10 +103,23 @@ class SubsetMask:
         return cls(domain, bits)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(lab for i, lab in enumerate(self.domain) if self.bits >> i & 1)
+        domain = self.domain
+        out = []
+        b = self.bits
+        while b:
+            low = b & -b
+            out.append(domain[low.bit_length() - 1])
+            b ^= low
+        return tuple(out)
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self.domain)) if self.bits >> i & 1)
+        out = []
+        b = self.bits
+        while b:
+            low = b & -b
+            out.append(low.bit_length() - 1)
+            b ^= low
+        return tuple(out)
 
     def complement(self) -> "SubsetMask":
         return SubsetMask(self.domain, self.bits ^ ((1 << len(self.domain)) - 1))
@@ -269,6 +283,53 @@ def f2_rank_rows(rows: Iterable[int]) -> int:
     return rnk
 
 
+def f2_subset_nullities(rows: Sequence[int]) -> list[int]:
+    """Nullity of A[X] over GF(2) for every mask X, indexed by mask value.
+
+    n(A[X]) is the nullity of A with each row i outside X replaced by e_i,
+    so a depth-first walk over labels 0..n-1 inserts one row per level, e_i
+    or A_i, into a basis keyed by leading bit; a row that reduces to zero
+    adds one to the running nullity.  Going back clears the one key the
+    insertion set.  The last level only tests its two rows, storing none.
+    """
+    n = len(rows)
+    out = [0] * (1 << n)
+    if not n:
+        return out
+    basis = [0] * n
+    last = n - 1
+    top_unit, top_row = 1 << last, rows[last]
+
+    def walk(i: int, mask: int, nul: int) -> None:
+        if i == last:
+            for m, v in ((mask, top_unit), (mask | top_unit, top_row)):
+                while v:
+                    b = basis[v.bit_length() - 1]
+                    if not b:
+                        out[m] = nul
+                        break
+                    v ^= b
+                else:
+                    out[m] = nul + 1
+            return
+        unit = 1 << i
+        for m, v in ((mask, unit), (mask | unit, rows[i])):
+            while v:
+                h = v.bit_length() - 1
+                b = basis[h]
+                if not b:
+                    basis[h] = v
+                    walk(i + 1, m, nul)
+                    basis[h] = 0
+                    break
+                v ^= b
+            else:
+                walk(i + 1, m, nul + 1)
+
+    walk(0, 0, 0)
+    return out
+
+
 def f2_pivot_rows(rows: Sequence[int], bits: int) -> "tuple[int, ...] | None":
     """Rows of the pivot on X = ``bits``, or None if the block on X is singular.
 
@@ -357,6 +418,48 @@ def q_rank_det(rows: Sequence[Sequence[Fraction]]) -> tuple[int, Fraction]:
     if m == ncols and r == m:
         return r, det
     return r, Fraction(0)
+
+
+def q_subset_nullities(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+    """Rational twin of :func:`f2_subset_nullities`, fraction-free.
+
+    Each row is scaled once by the lcm of its denominators, which keeps the
+    rank of every A[X].  An inserted row v is reduced by each basis row b
+    with pivot p = b[c] as v = p*v - f*b, in insertion order, so b already
+    vanishes on every earlier pivot column; a surviving row is divided by
+    the gcd of its entries and keyed by its first nonzero column.
+    """
+    n = len(rows)
+    out = [0] * (1 << n)
+    ints = []
+    for row in rows:
+        d = lcm(*(e.denominator for e in row))
+        ints.append([e.numerator * (d // e.denominator) for e in row])
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    basis: dict[int, list[int]] = {}
+
+    def walk(i: int, mask: int, nul: int) -> None:
+        if i == n:
+            out[mask] = nul
+            return
+        for m, v in ((mask, units[i]), (mask | 1 << i, ints[i])):
+            for c, b in basis.items():
+                f = v[c]
+                if f:
+                    p = b[c]
+                    v = [p * x - f * y for x, y in zip(v, b)]
+            for c, x in enumerate(v):
+                if x:
+                    g = gcd(*v)
+                    basis[c] = [y // g for y in v] if g != 1 else v
+                    walk(i + 1, m, nul)
+                    del basis[c]
+                    break
+            else:
+                walk(i + 1, m, nul + 1)
+
+    walk(0, 0, 0)
+    return out
 
 
 def q_pivot_rows(rows: Sequence[Sequence[Fraction]], bits: int) -> "tuple | None":

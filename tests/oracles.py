@@ -153,3 +153,39 @@ def block_formula_pivot(entries, xs, mod2=False):
         return v % 2 if mod2 else Fraction(v)
 
     return [[entry(i, j) for j in range(n)] for i in range(n)]
+
+
+def rational_rank_entrywise(entries) -> int:
+    """Gaussian elimination over Fractions on a plain list-of-lists."""
+    a = [[Fraction(x) for x in row] for row in entries]
+    m = len(a)
+    ncols = len(a[0]) if a else 0
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, m):
+            if a[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, m):
+            if a[i][col] != 0:
+                factor = a[i][col] / a[r][col]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+def subset_nullities_by_elimination(A):
+    """Nullity of every principal submatrix A[X], indexed by mask, one
+    entrywise elimination per subset (GF(2) when A.field is "f2")."""
+    entries = A.to_entries()
+    n = len(entries)
+    rank = gf2_rank_entrywise if A.field == "f2" else rational_rank_entrywise
+    out = []
+    for bits in range(1 << n):
+        idx = [i for i in range(n) if bits >> i & 1]
+        out.append(len(idx) - rank([[entries[i][j] for j in idx] for i in idx]))
+    return out

@@ -27,6 +27,7 @@ from pivotpoly.circuits import (
     canonical_rotation,
     check_double_occurrence,
     dos_domain,
+    walk_counts,
 )
 from pivotpoly.randgen import random_dos
 
@@ -191,15 +192,18 @@ def test_distribution_matches_norm_random():
 
 
 def test_distribution_matches_per_subset_traces():
-    # walk_distribution builds its successor tables once; tracing every
-    # subset separately with trace_partition is the reference.
+    # walk_counts builds its successor tables once; tracing every subset
+    # separately with trace_partition is the reference.
     rng = random.Random(13)
     for _ in range(40):
         s = random_dos(rng, rng.randint(1, 9))
         domain = dos_domain(s)
-        expected = [0] * (len(domain) + 1)
-        for bits in range(1 << len(domain)):
-            expected[len(trace_partition(s, SubsetMask(domain, bits))) - 1] += 1
+        traced = [
+            len(trace_partition(s, SubsetMask(domain, bits)))
+            for bits in range(1 << len(domain))
+        ]
+        assert walk_counts(s) == traced
+        expected = [traced.count(k + 1) for k in range(len(domain) + 1)]
         assert walk_distribution(s) == tuple(expected)
 
 

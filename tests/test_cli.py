@@ -284,10 +284,8 @@ def test_verify_nullity_invariance_catches_wrong_pivot(monkeypatch, capsys):
 
 
 def test_verify_cohn_lempel_catches_wrong_walk_count(monkeypatch, capsys):
-    real = circuits.trace_partition
-    monkeypatch.setattr(
-        circuits, "trace_partition", lambda s, X: real(s, X).walks + ((),)
-    )
+    real = circuits.walk_counts
+    monkeypatch.setattr(circuits, "walk_counts", lambda s: [c + 1 for c in real(s)])
     code, passed, trials = _verify_counts("cohn-lempel", capsys)
     assert code == 1 and passed < trials == 20
 

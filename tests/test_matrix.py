@@ -71,6 +71,15 @@ def test_subset_mask_basics():
         X ^ SubsetMask.empty(("a", "b"))
 
 
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_mask_labels_and_indices_list_set_bits_in_order(n_bits):
+    n, bits = n_bits
+    dom = tuple(f"v{i:02d}" for i in range(n))
+    X = SubsetMask(dom, bits)
+    assert X.indices() == tuple(i for i in range(n) if bits >> i & 1)
+    assert X.labels() == tuple(dom[i] for i in X.indices())
+
+
 @given(st.integers(0, 255), st.integers(0, 255))
 def test_mask_xor_is_symmetric_difference(x, y):
     dom = tuple(f"v{i}" for i in range(8))

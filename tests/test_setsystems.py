@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,8 +25,10 @@ from pivotpoly.setsystems import (
     nullity_histogram,
     subset_nullities,
 )
-from pivotpoly.randgen import random_matrix, random_valid_pivot_subset
+from pivotpoly import matrix, setsystems
+from pivotpoly.randgen import labels_for, random_matrix, random_valid_pivot_subset
 
+from oracles import subset_nullities_by_elimination
 from samples import (
     LEFT_CLASSES,
     PAIR_NORM,
@@ -193,6 +196,83 @@ def test_histogram_equals_norm():
         field = rng.choice([GF2, RATIONAL])
         A = random_matrix(rng, field, rng.randint(0, 7))
         assert nullity_histogram(A) == norm(partition_sequence_of(A))
+
+
+def test_subset_nullities_match_elimination_oracle():
+    rng = random.Random(23)
+    for n in range(11):
+        for field in (GF2, RATIONAL):
+            for _ in range(3 if n < 8 else 1):
+                A = random_matrix(rng, field, n)
+                assert subset_nullities(A) == subset_nullities_by_elimination(A)
+
+
+def _big_fraction(rng):
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
+
+
+def test_subset_nullities_clear_large_fractions():
+    # p/q entries with large numerators and denominators run the
+    # denominator clearing and the gcd division.  Half the matrices take
+    # some rows as rational combinations of the others, so that nullities
+    # above zero occur in submatrices of every size.
+    rng = random.Random(29)
+    for trial in range(24):
+        n = rng.randint(1, 7)
+        rows = [[_big_fraction(rng) for _ in range(n)] for _ in range(n)]
+        if trial % 2:
+            k = rng.randint(1, n)
+            for i in range(k, n):
+                coeffs = [_big_fraction(rng) * rng.randint(0, 1) for _ in range(k)]
+                rows[i] = [sum(c * rows[t][j] for t, c in enumerate(coeffs)) for j in range(n)]
+        A = Matrix.from_entries(RATIONAL, labels_for(n), rows)
+        assert subset_nullities(A) == subset_nullities_by_elimination(A)
+
+
+def _structured_entries(n):
+    yield "zeros", [[0] * n for _ in range(n)]
+    yield "identity", [[int(i == j) for j in range(n)] for i in range(n)]
+    yield "ones", [[1] * n for _ in range(n)]
+    yield "zero line", [
+        [0 if n // 2 in (i, j) else (i * 3 + j * 5) % 4 - 1 for j in range(n)]
+        for i in range(n)
+    ]
+    yield "repeated rows", [[(min(i, 2) * 7 + j * 3) % 5 - 2 for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONAL])
+def test_subset_nullities_on_structured_matrices(field):
+    for n in range(7):
+        for name, entries in _structured_entries(n):
+            if field == GF2:
+                entries = [[e % 2 for e in row] for row in entries]
+            A = Matrix.from_entries(field, labels_for(n), entries)
+            assert subset_nullities(A) == subset_nullities_by_elimination(A), (name, n)
+
+
+def test_sweep_runs_no_per_subset_elimination(monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(matrix, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("nullity_by_bits", "f2_rank_rows", "q_rank_det"):
+        wrapper = counted(name)
+        monkeypatch.setattr(matrix, name, wrapper)
+        monkeypatch.setattr(setsystems, name, wrapper, raising=False)
+    rng = random.Random(31)
+    for field in (GF2, RATIONAL):
+        A = random_matrix(rng, field, 6)
+        partition_sequence_of(A)
+        nullity_histogram(A)
+        set_system_of(A)
+    assert calls == []
 
 
 def test_enumeration_cap_is_enforced():
