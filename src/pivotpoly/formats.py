@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .matrix import GF2, RATIONAL, Matrix
-from .setsystems import PartitionSequence, norm
+from .setsystems import PartitionSequence
 
 __all__ = [
     "FormatError",
@@ -139,15 +139,28 @@ def format_norm(counts) -> str:
     return "(" + ",".join(str(c) for c in counts) + ")"
 
 
+def _label_table(labels) -> list[str]:
+    """Every subset of labels, by mask, as its labels each followed by a comma."""
+    table = [""]
+    for label in labels:
+        table += [t + label + "," for t in table]
+    return table
+
+
 def format_partition_sequence(P: PartitionSequence) -> str:
     """One line per nonempty class, then the norm vector.
 
-    Class members print as sorted label sets ordered by mask value.
+    Class members print as sorted label sets ordered by mask value.  A
+    mask's labels join one table entry for its low half of the domain and
+    one for its high half, so no per-subset object is built.
     """
-    lines = []
-    for i, cls in enumerate(P.classes):
-        if cls:
-            members = ",".join(str(X) for X in P.class_sets(i))
-            lines.append(f"{i}: {{{members}}}")
-    lines.append(f"norm: {format_norm(norm(P))}")
+    n = len(P.domain)
+    low = _label_table(P.domain[: n // 2])
+    high = _label_table(P.domain[n // 2 :])
+    buckets: list[list[str]] = [[] for _ in range(n + 1)]
+    names = ("{" + (lo + hi)[:-1] + "}" for hi in high for lo in low)
+    for k, name in zip(P.nullities, names):
+        buckets[k].append(name)
+    lines = [f"{i}: {{{','.join(b)}}}" for i, b in enumerate(buckets) if b]
+    lines.append(f"norm: {format_norm(len(b) for b in buckets)}")
     return "\n".join(lines) + "\n"

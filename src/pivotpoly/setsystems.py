@@ -15,7 +15,6 @@ from .matrix import (
     GF2,
     Matrix,
     SubsetMask,
-    compact_bits,
     f2_subset_nullities,
     q_subset_nullities,
 )
@@ -52,11 +51,6 @@ class SetSystem:
         if any(not 0 <= m < limit for m in self.members):
             raise ValueError("member mask does not fit the domain")
 
-    def member_sets(self) -> tuple[SubsetMask, ...]:
-        return tuple(
-            SubsetMask(self.domain, m) for m in sorted(self.members)
-        )
-
     def __contains__(self, X: SubsetMask) -> bool:
         if X.domain != self.domain:
             raise ValueError("membership test across different domains")
@@ -68,34 +62,33 @@ class SetSystem:
 
 @dataclass(frozen=True)
 class PartitionSequence:
-    """Subsets of the domain grouped by class index 0..n.
+    """The class index 0..n of every subset of the domain, indexed by mask.
 
-    The nonempty classes partition the full power set: classes are pairwise
-    disjoint and their sizes sum to 2^n.
+    ``nullities[m]`` is the class of the subset with bitmask m; for the
+    partition sequence of a matrix it is the nullity of the principal
+    submatrix on m.  Class i is the set of masks whose entry is i, so the
+    classes partition the full power set by construction.
     """
 
     domain: tuple[str, ...]
-    classes: tuple[frozenset[int], ...]
+    nullities: tuple[int, ...]
 
     def __post_init__(self):
         n = len(self.domain)
-        if len(self.classes) != n + 1:
-            raise ValueError(f"expected {n + 1} classes, got {len(self.classes)}")
-        total = sum(len(c) for c in self.classes)
-        if total != 1 << n or len(frozenset().union(*self.classes)) != total:
-            raise ValueError("classes must partition the full power set")
+        if len(self.nullities) != 1 << n:
+            raise ValueError(f"expected {1 << n} nullities, got {len(self.nullities)}")
+        if set(map(type, self.nullities)) != {int}:
+            raise ValueError("nullities must be ints")
+        if not 0 <= min(self.nullities) <= max(self.nullities) <= n:
+            raise ValueError(f"nullities must lie in 0..{n}")
 
-    def class_sets(self, i: int) -> tuple[SubsetMask, ...]:
-        return tuple(SubsetMask(self.domain, m) for m in sorted(self.classes[i]))
-
-    def index_of(self, X: SubsetMask) -> int:
-        """The class index holding X."""
-        if X.domain != self.domain:
-            raise ValueError("lookup across different domains")
-        for i, cls in enumerate(self.classes):
-            if X.bits in cls:
-                return i
-        raise KeyError(str(X))
+    @property
+    def classes(self) -> tuple[frozenset[int], ...]:
+        """The masks of each class 0..n."""
+        return tuple(
+            frozenset(m for m, k in enumerate(self.nullities) if k == i)
+            for i in range(len(self.domain) + 1)
+        )
 
 
 def subset_nullities(A: Matrix) -> list[int]:
@@ -116,10 +109,16 @@ def subset_nullities(A: Matrix) -> list[int]:
     return q_subset_nullities(A.rows)
 
 
+def _class_sizes(nullities, n: int) -> tuple[int, ...]:
+    counts = [0] * (n + 1)
+    for k in nullities:
+        counts[k] += 1
+    return tuple(counts)
+
+
 def nullity_histogram(A: Matrix) -> tuple[int, ...]:
     """How many subsets fall in each nullity class; sums to 2^n."""
-    nullities = subset_nullities(A)
-    return tuple(nullities.count(i) for i in range(A.n + 1))
+    return _class_sizes(subset_nullities(A), A.n)
 
 
 def set_system_of(A: Matrix) -> SetSystem:
@@ -130,17 +129,15 @@ def set_system_of(A: Matrix) -> SetSystem:
 
 def partition_sequence_of(A: Matrix) -> PartitionSequence:
     """Classify every subset of the domain by the nullity of its submatrix."""
-    buckets: list[list[int]] = [[] for _ in range(A.n + 1)]
-    for m, k in enumerate(subset_nullities(A)):
-        buckets[k].append(m)
-    return PartitionSequence(A.domain, tuple(frozenset(b) for b in buckets))
+    return PartitionSequence(A.domain, tuple(subset_nullities(A)))
 
 
 def twist(obj, X: SubsetMask):
     """Symmetric-difference every member with X; total, unlike matrix pivot.
 
-    Accepts a SetSystem or a PartitionSequence and returns the same kind;
-    classes keep their index, so the norm never changes.
+    Accepts a SetSystem or a PartitionSequence and returns the same kind.
+    On a partition sequence the twist is the index permutation y -> y ^ X,
+    so every subset keeps its class index and the norm never changes.
     """
     if isinstance(obj, SetSystem):
         if obj.domain != X.domain:
@@ -149,16 +146,14 @@ def twist(obj, X: SubsetMask):
     if isinstance(obj, PartitionSequence):
         if obj.domain != X.domain:
             raise ValueError("twist across different domains")
-        return PartitionSequence(
-            obj.domain,
-            tuple(frozenset(m ^ X.bits for m in cls) for cls in obj.classes),
-        )
+        old, x = obj.nullities, X.bits
+        return PartitionSequence(obj.domain, tuple([old[y ^ x] for y in range(len(old))]))
     raise TypeError(f"cannot twist {type(obj).__name__}")
 
 
 def norm(P: PartitionSequence) -> tuple[int, ...]:
     """The vector of class sizes (|P_0|, ..., |P_n|)."""
-    return tuple(len(c) for c in P.classes)
+    return _class_sizes(P.nullities, len(P.domain))
 
 
 def restrict(P: PartitionSequence, X: SubsetMask) -> PartitionSequence:
@@ -169,18 +164,9 @@ def restrict(P: PartitionSequence, X: SubsetMask) -> PartitionSequence:
     """
     if P.domain != X.domain:
         raise ValueError("restriction across different domains")
-    positions = X.indices()
-    k = len(positions)
+    # The submasks of X in increasing order are the compact masks 0..2^k-1.
     outside = ~X.bits
-    classes = []
-    for i, cls in enumerate(P.classes):
-        kept = frozenset(
-            compact_bits(m, positions) for m in cls if m & outside == 0
-        )
-        if i <= k:
-            classes.append(kept)
-        elif kept:
-            raise ValueError("restriction does not form a partition sequence")
-    while len(classes) < k + 1:
-        classes.append(frozenset())
-    return PartitionSequence(X.labels(), tuple(classes))
+    kept = [k for m, k in enumerate(P.nullities) if m & outside == 0]
+    if max(kept) > len(X):
+        raise ValueError("restriction does not form a partition sequence")
+    return PartitionSequence(X.labels(), tuple(kept))

@@ -189,3 +189,21 @@ def subset_nullities_by_elimination(A):
         idx = [i for i in range(n) if bits >> i & 1]
         out.append(len(idx) - rank([[entries[i][j] for j in idx] for i in idx]))
     return out
+
+
+def partition_listing_by_mask(domain, nullities) -> str:
+    """The partition-sequence listing, built one mask at a time: each
+    class's members are label joins taken in increasing mask order."""
+    n = len(domain)
+    lines = []
+    for i in range(n + 1):
+        members = [
+            "{" + ",".join(domain[j] for j in range(n) if bits >> j & 1) + "}"
+            for bits in range(len(nullities))
+            if nullities[bits] == i
+        ]
+        if members:
+            lines.append(str(i) + ": {" + ",".join(members) + "}")
+    sizes = [str(list(nullities).count(i)) for i in range(n + 1)]
+    lines.append("norm: (" + ",".join(sizes) + ")")
+    return "\n".join(lines) + "\n"

@@ -14,11 +14,16 @@ from pivotpoly.formats import (
     FormatError,
     format_graph,
     format_matrix,
+    format_partition_sequence,
     parse_graph,
     parse_matrix,
 )
 from pivotpoly.randgen import random_graph, random_matrix
-from pivotpoly import GF2, RATIONAL, Matrix
+from pivotpoly.setsystems import partition_sequence_of
+from pivotpoly import GF2, RATIONAL, Matrix, SubsetMask
+
+from oracles import partition_listing_by_mask
+from samples import pivot_pair_left
 
 MATRIX_Q = """\
 field q
@@ -122,6 +127,42 @@ def test_graph_format_round_trip_random():
 def test_graph_parse_errors(text):
     with pytest.raises(FormatError):
         parse_graph(text)
+
+
+def test_partition_sequence_listing_matches_oracle():
+    # Labels of one to three characters; odd and even n split the domain
+    # into unequal and equal label-table halves.
+    rng = random.Random(37)
+    for n in range(12):
+        for field in (GF2, RATIONAL):
+            labels = sorted(f"{'xyz'[:1 + i % 3]}{i:02d}" for i in range(n))
+            A = Matrix.from_entries(field, labels, random_matrix(rng, field, n).to_entries())
+            P = partition_sequence_of(A)
+            assert format_partition_sequence(P) == partition_listing_by_mask(
+                P.domain, P.nullities
+            ), (n, field)
+
+
+def test_partition_sequence_listing_builds_no_subset_mask(monkeypatch):
+    P = partition_sequence_of(random_matrix(random.Random(41), GF2, 8))
+    built = []
+    real_init = SubsetMask.__post_init__
+
+    def counting_init(self):
+        built.append(self.bits)
+        real_init(self)
+
+    monkeypatch.setattr(SubsetMask, "__post_init__", counting_init)
+    format_partition_sequence(P)
+    assert built == []
+
+
+def test_readme_partition_sequence_example():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    intro = readme.index("Partition sequences print one line per nonempty class")
+    start = readme.index("```\n", intro) + len("```\n")
+    block = readme[start : readme.index("```", start)]
+    assert block == format_partition_sequence(partition_sequence_of(pivot_pair_left()))
 
 
 # --- subcommands --------------------------------------------------------------------

@@ -83,10 +83,19 @@ def test_class_zero_equals_set_system():
 
 
 def test_partition_sequence_validation():
-    with pytest.raises(ValueError):
-        PartitionSequence(("a",), (frozenset({0}), frozenset({0})))
-    with pytest.raises(ValueError):
-        PartitionSequence(("a",), (frozenset({0, 1}),))
+    P = PartitionSequence(("a",), (0, 1))
+    assert P.classes == (frozenset({0}), frozenset({1}))
+    # The nullity list holds one entry per mask: 2^n of them.
+    for nullities in [(0,), (0, 0, 0), (0, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="expected 2 nullities"):
+            PartitionSequence(("a",), nullities)
+    # Every entry is a class index 0..n.
+    for nullities in [(0, 2), (-1, 0), (0, 5)]:
+        with pytest.raises(ValueError, match=r"in 0\.\.1"):
+            PartitionSequence(("a",), nullities)
+    for nullities in [(0, 1.0), (0, True), (0, "1"), (frozenset({0}), frozenset({1}))]:
+        with pytest.raises(ValueError, match="must be ints"):
+            PartitionSequence(("a",), nullities)
 
 
 # --- twist ---------------------------------------------------------------------
@@ -177,6 +186,14 @@ def test_restrict_equals_submatrix_sequence():
         )
 
 
+def test_restrict_rejects_entry_above_subset_size():
+    # Mask 1 = {a} sits in class 2, which a one-label subset cannot reach.
+    P = PartitionSequence(("a", "b"), (0, 2, 0, 1))
+    with pytest.raises(ValueError, match="restriction does not form a partition sequence"):
+        restrict(P, SubsetMask.of(P.domain, ["a"]))
+    assert restrict(P, SubsetMask.of(P.domain, ["b"])).nullities == (0, 0)
+
+
 # --- sweeps -------------------------------------------------------------------------
 
 def test_subset_nullities_agree_with_direct_computation():
@@ -185,6 +202,7 @@ def test_subset_nullities_agree_with_direct_computation():
         field = rng.choice([GF2, RATIONAL])
         A = random_matrix(rng, field, rng.randint(0, 6))
         sweep = subset_nullities(A)
+        assert partition_sequence_of(A).nullities == tuple(sweep)
         for bits in range(1 << A.n):
             X = SubsetMask(A.domain, bits)
             assert sweep[bits] == nullity(principal_submatrix(A, X))
