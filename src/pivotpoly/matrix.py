@@ -2,16 +2,19 @@
 
 Matrices are square and indexed by a sorted tuple of string labels.  A GF(2)
 matrix packs each row into one Python int (bit j = column j), so elimination
-runs as word-wide XOR; a rational matrix stores ``fractions.Fraction``
-entries, which keep themselves in lowest terms with positive denominators.
-Every value is immutable and every operation is a pure function.
+runs as word-wide XOR.  A rational matrix stores ``fractions.Fraction``
+entries, which keep themselves in lowest terms with positive denominators;
+its eliminations (rank, determinant, pivot and the subset sweep) run on
+Python ints, each row scaled once by the lcm of its denominators, and
+build Fractions only for what they return.  Every value is immutable and
+every operation is a pure function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 GF2 = "f2"
@@ -145,10 +148,10 @@ class SubsetMask:
 class Matrix:
     """A square matrix over GF(2) or the rationals with a sorted label domain.
 
-    ``rows`` holds one packed int per label over GF(2), and a tuple of
-    Fraction tuples over the rationals.  Build from dense data with
-    :meth:`from_entries`, which also permutes arbitrary label order into the
-    canonical sorted layout.
+    ``rows`` is a tuple holding one packed int per label over GF(2), and
+    one Fraction tuple per label over the rationals.  Build from dense data
+    with :meth:`from_entries`, which also permutes arbitrary label order
+    into the canonical sorted layout.
     """
 
     field: str
@@ -162,6 +165,8 @@ class Matrix:
         if tuple(sorted(self.domain)) != self.domain:
             raise ValueError("matrix domain must be sorted")
         n = len(self.domain)
+        if not isinstance(self.rows, tuple):
+            raise ValueError("matrix rows must be a tuple")
         if len(self.rows) != n:
             raise ValueError(f"expected {n} rows, got {len(self.rows)}")
         if self.field == GF2:
@@ -170,7 +175,7 @@ class Matrix:
                     raise ValueError("GF(2) rows must be ints fitting the domain width")
         else:
             for r in self.rows:
-                if len(r) != n or not all(isinstance(e, Fraction) for e in r):
+                if not isinstance(r, tuple) or len(r) != n or not all(isinstance(e, Fraction) for e in r):
                     raise ValueError("rational rows must be Fraction tuples of length n")
 
     @classmethod
@@ -380,61 +385,61 @@ def compact_bits(bits: int, positions: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rational kernels on lists of Fraction lists.
+# Rational kernels on cleared integer rows.
+
+def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[list[int]]]:
+    """Scale each row by the lcm d of its denominators: (the d's, the integer rows).
+
+    Scaling a row keeps the rank of every principal submatrix and multiplies
+    the determinant by d; eliminations then run on Python ints.
+    """
+    scales = [lcm(*(e.denominator for e in row)) for row in rows]
+    ints = [[e.numerator * (d // e.denominator) for e in row] for d, row in zip(scales, rows)]
+    return scales, ints
+
 
 def q_rank_det(rows: Sequence[Sequence[Fraction]]) -> tuple[int, Fraction]:
-    """Gaussian elimination over the rationals; returns (rank, determinant).
+    """Bareiss elimination on the cleared rows; returns (rank, determinant).
 
-    The determinant applies to square input; for the empty matrix it is 1.
+    Each update p*a - f*b is divided exactly by the previous pivot, so every
+    entry stays a minor of the cleared matrix and the last pivot is its
+    determinant, up to the sign of the row swaps.  The determinant applies
+    to square input; for the empty matrix it is 1.
     """
-    a = [list(r) for r in rows]
+    scales, a = _cleared(rows)
     m = len(a)
     ncols = len(a[0]) if a else 0
-    det = Fraction(1)
-    r = 0
+    prev, sign, r = 1, 1, 0
     for col in range(ncols):
-        piv = None
-        for i in range(r, m):
-            if a[i][col]:
-                piv = i
-                break
+        piv = next((i for i in range(r, m) if a[i][col]), None)
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            det = -det
-        pivval = a[r][col]
-        det *= pivval
+            sign = -sign
+        rowr = a[r]
+        p = rowr[col]
         for i in range(r + 1, m):
             f = a[i][col]
-            if f:
-                ratio = f / pivval
-                rowi, rowr = a[i], a[r]
-                for c in range(col, ncols):
-                    rowi[c] -= ratio * rowr[c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], rowr)]
+        prev = p
         r += 1
-        if r == m:
-            break
     if m == ncols and r == m:
-        return r, det
+        return r, Fraction(sign * prev, prod(scales))
     return r, Fraction(0)
 
 
 def q_subset_nullities(rows: Sequence[Sequence[Fraction]]) -> list[int]:
     """Rational twin of :func:`f2_subset_nullities`, fraction-free.
 
-    Each row is scaled once by the lcm of its denominators, which keeps the
-    rank of every A[X].  An inserted row v is reduced by each basis row b
-    with pivot p = b[c] as v = p*v - f*b, in insertion order, so b already
-    vanishes on every earlier pivot column; a surviving row is divided by
-    the gcd of its entries and keyed by its first nonzero column.
+    The walk runs on the cleared rows.  An inserted row v is reduced by each
+    basis row b with pivot p = b[c] as v = p*v - f*b, in insertion order, so
+    b already vanishes on every earlier pivot column; a surviving row is
+    divided by the gcd of its entries and keyed by its first nonzero column.
     """
     n = len(rows)
     out = [0] * (1 << n)
-    ints = []
-    for row in rows:
-        d = lcm(*(e.denominator for e in row))
-        ints.append([e.numerator * (d // e.denominator) for e in row])
+    _, ints = _cleared(rows)
     units = [[int(i == j) for j in range(n)] for i in range(n)]
     basis: dict[int, list[int]] = {}
 
@@ -463,14 +468,19 @@ def q_subset_nullities(rows: Sequence[Sequence[Fraction]]) -> list[int]:
 
 
 def q_pivot_rows(rows: Sequence[Sequence[Fraction]], bits: int) -> "tuple | None":
-    """Rational twin of :func:`f2_pivot_rows`, on relation rows (A_i | -e_i).
+    """Rational twin of :func:`f2_pivot_rows`, fraction-free.
 
-    Each pivot row is scaled to -1 on its column, so every row reads its
-    output directly: x_j for j in X, y_i outside.
+    Relation row i is the cleared (d_i A_i | -d_i e_i).  Each step replaces
+    every other row by p*row - f*pivot_row divided exactly by the previous
+    pivot (Bareiss), so all entries stay integers.  A row's output, x_j for
+    j in X or y_i outside X, is its entries over minus its own coefficient.
     """
     n = len(rows)
-    zero, minus_one = Fraction(0), Fraction(-1)
-    rel = [list(r) + [minus_one if t == i else zero for t in range(n)] for i, r in enumerate(rows)]
+    scales, ints = _cleared(rows)
+    rel = [r + [0] * n for r in ints]
+    for i, d in enumerate(scales):
+        rel[i][n + i] = -d
+    prev = 1
     for j in range(n):
         if not bits >> j & 1:
             continue
@@ -478,15 +488,18 @@ def q_pivot_rows(rows: Sequence[Sequence[Fraction]], bits: int) -> "tuple | None
         if piv is None:
             return None
         rel[j], rel[piv] = rel[piv], rel[j]
-        p = rel[j]
-        if p[j] != -1:
-            scale = -p[j]
-            p = rel[j] = [e / scale for e in p]
+        pr = rel[j]
+        p = pr[j]
         for i in range(n):
-            f = rel[i][j]
-            if i != j and f:
-                rel[i] = [e + f * d if d else e for e, d in zip(rel[i], p)]
-    return tuple(tuple(r[n + t] if bits >> t & 1 else r[t] for t in range(n)) for r in rel)
+            if i != j:
+                f = rel[i][j]
+                rel[i] = [(p * x - f * y) // prev for x, y in zip(rel[i], pr)]
+        prev = p
+    out = []
+    for i, r in enumerate(rel):
+        own = -(r[i] if bits >> i & 1 else r[n + i])
+        out.append(tuple(Fraction(r[n + t] if bits >> t & 1 else r[t], own) for t in range(n)))
+    return tuple(out)
 
 
 def q_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:

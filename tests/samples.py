@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from pivotpoly import Matrix, RATIONAL, SubsetMask, graph_from_edges
+from pivotpoly.randgen import labels_for
 
 # 3x3 rational matrix with a singular {b,c} block and nonsingular {a,b} block.
 def sample_rational_matrix() -> Matrix:
@@ -17,6 +18,46 @@ SAMPLE_PIVOT_AB = [
     [Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)],
     [Fraction(5), Fraction(-2), Fraction(-20)],
 ]
+
+
+def big_fraction(rng) -> Fraction:
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
+
+
+def big_fraction_entries(rng, n: int, dependent: bool) -> list[list[Fraction]]:
+    """An n x n array of p/q entries with large numerators and denominators.
+
+    With ``dependent``, rows k..n-1 (k drawn from 1..n) are rational
+    combinations of rows 0..k-1, so that submatrices of every size can be
+    singular.
+    """
+    rows = [[big_fraction(rng) for _ in range(n)] for _ in range(n)]
+    if dependent:
+        k = rng.randint(1, n)
+        for i in range(k, n):
+            coeffs = [big_fraction(rng) * rng.randint(0, 1) for _ in range(k)]
+            rows[i] = [sum(c * rows[t][j] for t, c in enumerate(coeffs)) for j in range(n)]
+    return rows
+
+
+def rational_stress_matrices(rng, count: int, max_n: int) -> list[Matrix]:
+    """Inputs that run the denominator clearing of the rational kernels.
+
+    The empty matrix; the zero, identity and all-ones matrices of sizes
+    1..max_n; then ``count`` matrices of :func:`big_fraction_entries`, every
+    other one with dependent rows.
+    """
+    out = [Matrix.zeros(RATIONAL, [])]
+    for n in range(1, max_n + 1):
+        labels = labels_for(n)
+        out.append(Matrix.zeros(RATIONAL, labels))
+        out.append(Matrix.identity(RATIONAL, labels))
+        out.append(Matrix.from_entries(RATIONAL, labels, [[1] * n for _ in range(n)]))
+    for trial in range(count):
+        n = rng.randint(1, max_n)
+        entries = big_fraction_entries(rng, n, dependent=trial % 2 == 1)
+        out.append(Matrix.from_entries(RATIONAL, labels_for(n), entries))
+    return out
 
 
 # Four-vertex graph with loops on 2 and 3; pivoting on {1,2,3} lands on the

@@ -23,10 +23,11 @@ from pivotpoly import (
     schur_complement,
     transpose,
 )
+from pivotpoly.matrix import q_pivot_rows, q_rank_det, q_subset_nullities
 from pivotpoly.randgen import random_graph, random_matrix
 
 import oracles
-from samples import pivot_pair_left, sample_rational_matrix
+from samples import pivot_pair_left, rational_stress_matrices, sample_rational_matrix
 
 
 # --- labels, masks, construction -------------------------------------------
@@ -54,6 +55,20 @@ def test_from_entries_canonicalizes_label_order():
 def test_gf2_entries_validated():
     with pytest.raises(ValueError):
         Matrix.from_entries(GF2, ["a"], [[2]])
+
+
+@pytest.mark.parametrize(
+    "field, domain, rows",
+    [
+        (GF2, ("a", "b"), [1, 2]),
+        (RATIONAL, ("a",), ([Fraction(1)],)),
+        (RATIONAL, ("a",), (1,)),
+    ],
+)
+def test_rows_must_be_tuples(field, domain, rows):
+    # A list anywhere in rows would leave the matrix mutable and unhashable.
+    with pytest.raises(ValueError):
+        Matrix(field, domain, rows)
 
 
 def test_subset_mask_basics():
@@ -170,6 +185,45 @@ def test_rational_rank_and_det_against_expansion_oracle():
         dense = A.to_entries()
         assert determinant(A) == oracles.det_by_expansion(dense)
         assert rank(A) == oracles.rank_by_minors(dense)
+    for A in rational_stress_matrices(random.Random(37), 40, 5):
+        dense = A.to_entries()
+        assert determinant(A) == oracles.det_by_expansion(dense)
+        assert rank(A) == oracles.rank_by_minors(dense)
+
+
+def test_rational_eliminations_do_no_fraction_arithmetic(monkeypatch):
+    # Rank, determinant, pivot and the subset sweep eliminate on cleared
+    # integer rows; a Fraction is only built for each value they return.
+    matrices = rational_stress_matrices(random.Random(41), 16, 4)
+    expected = []
+    for A in matrices:
+        dense = A.to_entries()
+        pivots = [
+            oracles.block_formula_pivot(dense, SubsetMask(A.domain, bits).indices())
+            for bits in range(1 << A.n)
+        ]
+        expected.append((
+            (oracles.rank_by_minors(dense), oracles.det_by_expansion(dense)),
+            [None if P is None else tuple(map(tuple, P)) for P in pivots],
+            oracles.subset_nullities_by_elimination(A),
+        ))
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic inside a rational elimination")
+
+    with monkeypatch.context() as patch:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+            patch.setattr(Fraction, name, refuse)
+        got = [
+            (
+                q_rank_det(A.rows),
+                [q_pivot_rows(A.rows, bits) for bits in range(1 << A.n)],
+                q_subset_nullities(A.rows),
+            )
+            for A in matrices
+        ]
+    assert got == expected
 
 
 def test_gf2_packed_rank_against_entrywise_oracle():

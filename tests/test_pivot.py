@@ -36,6 +36,7 @@ from samples import (
     SAMPLE_PIVOT_AB,
     pivot_pair_left,
     pivot_pair_right,
+    rational_stress_matrices,
     sample_rational_matrix,
     small_orbit_graphs,
 )
@@ -67,6 +68,18 @@ def test_pivot_of_graph_pair():
     assert pivot(G, G.subset("1", "2", "3")) == pivot_pair_right()
 
 
+def _pivot_or_singular(A, X) -> bool:
+    """Check pivot(A, X) against the block formula; True when A[X] is singular."""
+    expected = block_formula_pivot(A.to_entries(), X.indices(), mod2=A.field == GF2)
+    if expected is None:
+        with pytest.raises(PivotUndefinedError) as exc:
+            pivot(A, X)
+        assert exc.value.subset == X
+        return True
+    assert pivot(A, X).to_entries() == expected
+    return False
+
+
 def test_pivot_matches_block_formula_oracle():
     # Half the subsets are drawn uniformly, so singular blocks come up and
     # must raise exactly where the oracle finds A[X] singular.
@@ -79,15 +92,14 @@ def test_pivot_matches_block_formula_oracle():
                 X = SubsetMask(A.domain, rng.randrange(1 << A.n))
             else:
                 X = random_valid_pivot_subset(rng, A)
-            expected = block_formula_pivot(A.to_entries(), X.indices(), mod2=field == GF2)
-            if expected is None:
-                singular += 1
-                with pytest.raises(PivotUndefinedError) as exc:
-                    pivot(A, X)
-                assert exc.value.subset == X
-            else:
-                assert pivot(A, X).to_entries() == expected
+            singular += _pivot_or_singular(A, X)
         assert singular >= 10
+    # p/q entries, every subset of each matrix.
+    singular = 0
+    for A in rational_stress_matrices(random.Random(97), 30, 5):
+        for bits in range(1 << A.n):
+            singular += _pivot_or_singular(A, SubsetMask(A.domain, bits))
+    assert singular >= 10
 
 
 def test_pivot_on_full_domain_is_inverse():

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -33,6 +32,7 @@ from samples import (
     LEFT_CLASSES,
     PAIR_NORM,
     RIGHT_CLASSES,
+    big_fraction_entries,
     classes_to_masks,
     pivot_pair_left,
     pivot_pair_right,
@@ -225,10 +225,6 @@ def test_subset_nullities_match_elimination_oracle():
                 assert subset_nullities(A) == subset_nullities_by_elimination(A)
 
 
-def _big_fraction(rng):
-    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
-
-
 def test_subset_nullities_clear_large_fractions():
     # p/q entries with large numerators and denominators run the
     # denominator clearing and the gcd division.  Half the matrices take
@@ -237,12 +233,7 @@ def test_subset_nullities_clear_large_fractions():
     rng = random.Random(29)
     for trial in range(24):
         n = rng.randint(1, 7)
-        rows = [[_big_fraction(rng) for _ in range(n)] for _ in range(n)]
-        if trial % 2:
-            k = rng.randint(1, n)
-            for i in range(k, n):
-                coeffs = [_big_fraction(rng) * rng.randint(0, 1) for _ in range(k)]
-                rows[i] = [sum(c * rows[t][j] for t, c in enumerate(coeffs)) for j in range(n)]
+        rows = big_fraction_entries(rng, n, dependent=trial % 2 == 1)
         A = Matrix.from_entries(RATIONAL, labels_for(n), rows)
         assert subset_nullities(A) == subset_nullities_by_elimination(A)
 
