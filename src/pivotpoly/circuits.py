@@ -245,8 +245,15 @@ def count_euler_circuits(d: TwoInTwoOutDigraph) -> int:
     """Count Euler circuits by backtracking over arcs.
 
     Each circuit uses arc 0 exactly once, so rooting the search there counts
-    every circuit once, independently of any pairing sweep.
+    every circuit once, independently of any pairing sweep.  The search
+    can branch at every vertex, so the vertex count is held to the subset
+    enumeration cap.
     """
+    n = len(d.vertices)
+    if n > ENUMERATION_CAP:
+        raise ValueError(
+            f"vertex count {n} exceeds the subset enumeration cap {ENUMERATION_CAP}"
+        )
     L = len(d.arcs)
     if L == 0:
         return 0

@@ -11,12 +11,13 @@ independent second method.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from .graphs import _elementary_parts, _elementary_pivot_rows, require_graph
 from .matrix import Matrix, SubsetMask, delete_label
 from .pivot import pivot
-from .setsystems import nullity_histogram
+from .setsystems import RECURSION_MEMO_CAP, nullity_histogram
 
 __all__ = [
     "Poly",
@@ -144,19 +145,43 @@ def interlace_recursive(G: Matrix) -> Poly:
     first elementary pivot (the smallest looped vertex, else the smallest
     edge between loopless vertices), u is the smallest vertex of X, and
     q(G) = q(G - u) + q(G*X - u).
+
+    Each call keeps a memo from packed row tuples to coefficient tuples, so
+    a subgraph reached along several branches is solved once; the memo is
+    dropped when the call returns.  Its size is bounded by the rows it
+    stores, at most ``RECURSION_MEMO_CAP`` over all entries, past which
+    ``ValueError`` is raised.  The bound is on subgraphs, not labels, so
+    sparse graphs well past ``ENUMERATION_CAP`` finish (a path on 60
+    vertices takes milliseconds).
     """
     require_graph(G)
-    return _recurse(G.rows)
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+    room = RECURSION_MEMO_CAP
 
+    def recurse(rows: tuple[int, ...]) -> tuple[int, ...]:
+        nonlocal room
+        coeffs = memo.get(rows)
+        if coeffs is not None:
+            return coeffs
+        room -= len(rows)
+        if room < 0:
+            raise ValueError(
+                f"deletion recursion exceeds the memo cap of {RECURSION_MEMO_CAP} rows"
+            )
+        part = next(_elementary_parts(rows, (1 << len(rows)) - 1), 0)
+        if not part:
+            coeffs = (0,) * len(rows) + (1,)
+        else:
+            u = (part & -part).bit_length() - 1
+            a = recurse(_delete(rows, u))
+            b = recurse(_delete(_elementary_pivot_rows(rows, part), u))
+            if len(a) < len(b):
+                a, b = b, a
+            coeffs = tuple(map(add, a, b)) + a[len(b) :]
+        memo[rows] = coeffs
+        return coeffs
 
-def _recurse(rows: tuple[int, ...]) -> Poly:
-    part = next(_elementary_parts(rows, (1 << len(rows)) - 1), 0)
-    if not part:
-        return Poly.monomial(len(rows))
-    u = (part & -part).bit_length() - 1
-    return _recurse(_delete(rows, u)) + _recurse(
-        _delete(_elementary_pivot_rows(rows, part), u)
-    )
+    return Poly.of(recurse(G.rows))
 
 
 def _delete(rows: tuple[int, ...], u: int) -> tuple[int, ...]:

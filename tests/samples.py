@@ -76,6 +76,12 @@ def pivot_pair_right() -> Matrix:
     )
 
 
+def path_graph(n: int) -> Matrix:
+    """The loopless path v00 - v01 - ... on n vertices."""
+    labels = [f"v{i:02d}" for i in range(n)]
+    return graph_from_edges(labels, list(zip(labels, labels[1:])))
+
+
 # Known partition classes (by nullity) for the pair, as label tuples.
 LEFT_CLASSES = {
     0: [(), ("2",), ("3",), ("1", "3"), ("2", "4"), ("3", "4"), ("1", "2", "3"), ("1", "2", "3", "4")],

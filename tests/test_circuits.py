@@ -214,6 +214,18 @@ def test_distribution_enumeration_cap():
         walk_distribution(s)
 
 
+def test_euler_circuit_count_enumeration_cap():
+    # Every vertex carries two loops, so no circuit can leave the first one
+    # and the backtracking stops at once; only the cap can raise.
+    def looped(n):
+        vertices = tuple(f"v{i:02d}" for i in range(n))
+        return TwoInTwoOutDigraph(vertices, tuple((v, v) for v in vertices for _ in range(2)))
+
+    assert count_euler_circuits(looped(24)) == 0
+    with pytest.raises(ValueError, match="vertex count 25 exceeds the subset enumeration cap 24"):
+        count_euler_circuits(looped(25))
+
+
 # --- rerouting and transport ----------------------------------------------------------------
 
 def test_rerouted_overlap_graph_is_a_pivot():

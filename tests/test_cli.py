@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import pivotpoly
-from pivotpoly import circuits, cli
+from pivotpoly import circuits, cli, interlace
 from pivotpoly.cli import main
 from pivotpoly.formats import (
     FormatError,
@@ -23,7 +23,7 @@ from pivotpoly.setsystems import partition_sequence_of
 from pivotpoly import GF2, RATIONAL, Matrix, SubsetMask
 
 from oracles import partition_listing_by_mask
-from samples import pivot_pair_left
+from samples import path_graph, pivot_pair_left
 
 MATRIX_Q = """\
 field q
@@ -380,6 +380,19 @@ def test_sweeps_past_the_enumeration_cap_fail_fast(tmp_path):
         assert proc.returncode == 2, argv
         assert "enumeration cap" in proc.stderr
         assert proc.stdout == ""
+
+
+def test_recursion_past_its_memo_cap_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(interlace, "RECURSION_MEMO_CAP", 100)
+    # The recursion's memo on a path of 12 labels holds 273 rows; under
+    # "both" the sweep runs first and passes.
+    path = tmp_path / "path12.graph"
+    path.write_text(format_graph(path_graph(12)))
+    for method in ("recursive", "both"):
+        assert main(["interlace", "--graph", str(path), "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: deletion recursion exceeds the memo cap of 100 rows\n"
 
 
 def test_usage_error_exits_two():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pivotpoly.interlace as interlace_module
 from pivotpoly import (
     GF2,
     RATIONAL,
@@ -26,7 +27,7 @@ from pivotpoly import (
 )
 from pivotpoly.randgen import random_graph, random_matrix, random_valid_pivot_subset
 
-from samples import pivot_pair_left, sample_rational_matrix
+from samples import path_graph, pivot_pair_left, sample_rational_matrix
 
 
 def all_graphs(n):
@@ -182,6 +183,51 @@ def test_recursive_equals_direct_random():
     for _ in range(60):
         G = random_graph(rng, rng.randint(1, 9))
         assert interlace_recursive(G) == interlace_polynomial(G)
+
+
+def path_polynomials(count):
+    """q(P_0) .. q(P_{count-1}) from q(P_n) = q(P_{n-1}) + y q(P_{n-2})."""
+    out = [Poly.of([1]), Poly.monomial(1)]
+    while len(out) < count:
+        out.append(out[-1] + Poly.monomial(1) * out[-2])
+    return out[:count]
+
+
+def test_path_closed_form_matches_the_sweep():
+    for n, q in enumerate(path_polynomials(13)):
+        assert interlace_polynomial(path_graph(n)) == q
+
+
+def test_recursion_memo_solves_long_paths(monkeypatch):
+    # Without a memo the recursion on P_n makes Fibonacci-many kernel calls;
+    # with one it makes n^2 / 4, so P_60 stays under the budget.  Equal
+    # counts on a repeated call show the memo does not outlive a call.
+    budget = 1000
+    calls = [0]
+    real = interlace_module._elementary_pivot_rows
+
+    def counting(rows, part):
+        calls[0] += 1
+        if calls[0] > budget:
+            raise AssertionError(f"more than {budget} elementary pivots in one call")
+        return real(rows, part)
+
+    monkeypatch.setattr(interlace_module, "_elementary_pivot_rows", counting)
+    for n, q in enumerate(path_polynomials(61)):
+        calls[0] = 0
+        assert interlace_recursive(path_graph(n)) == q
+    first = calls[0]
+    calls[0] = 0
+    interlace_recursive(path_graph(60))
+    assert calls[0] == first > 0
+
+
+def test_recursion_memo_cap(monkeypatch):
+    # The memo of P_8 holds 90 rows, that of P_12 273.
+    monkeypatch.setattr(interlace_module, "RECURSION_MEMO_CAP", 100)
+    assert interlace_recursive(path_graph(8)) == path_polynomials(9)[8]
+    with pytest.raises(ValueError, match="memo cap of 100 rows"):
+        interlace_recursive(path_graph(12))
 
 
 def test_recursion_rejects_non_graphs():
