@@ -10,6 +10,7 @@ independent second method.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from operator import add
 from typing import Sequence
@@ -152,7 +153,10 @@ def interlace_recursive(G: Matrix) -> Poly:
     stores, at most ``RECURSION_MEMO_CAP`` over all entries, past which
     ``ValueError`` is raised.  The bound is on subgraphs, not labels, so
     sparse graphs well past ``ENUMERATION_CAP`` finish (a path on 60
-    vertices takes milliseconds).
+    vertices takes milliseconds).  Each branch deletes one vertex, so a
+    chain of deletions longer than Python's recursion limit also raises
+    ``ValueError``; graphs that need no deep chain (a discrete graph needs
+    none) are not limited by their size.
     """
     require_graph(G)
     memo: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -181,7 +185,13 @@ def interlace_recursive(G: Matrix) -> Poly:
         memo[rows] = coeffs
         return coeffs
 
-    return Poly.of(recurse(G.rows))
+    try:
+        return Poly.of(recurse(G.rows))
+    except RecursionError:
+        raise ValueError(
+            f"deletion recursion on {G.n} labels runs deeper than Python's "
+            f"recursion limit of {sys.getrecursionlimit()} frames"
+        ) from None
 
 
 def _delete(rows: tuple[int, ...], u: int) -> tuple[int, ...]:

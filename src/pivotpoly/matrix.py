@@ -292,46 +292,52 @@ def f2_subset_nullities(rows: Sequence[int]) -> list[int]:
     """Nullity of A[X] over GF(2) for every mask X, indexed by mask value.
 
     n(A[X]) is the nullity of A with each row i outside X replaced by e_i,
-    so a depth-first walk over labels 0..n-1 inserts one row per level, e_i
-    or A_i, into a basis keyed by leading bit; a row that reduces to zero
-    adds one to the running nullity.  Going back clears the one key the
-    insertion set.  The last level only tests its two rows, storing none.
+    so a depth-first walk over labels 0..n-1 picks one row per level, e_i
+    or A_i, and every candidate row is known in advance.  The walk carries
+    the candidates still to come as a flat pending list [e_i, A_i, e_{i+1},
+    A_{i+1}, ...], each already reduced on every pivot column of the rows
+    picked so far.  A zero candidate adds one to the running nullity and
+    the rest of the list passes down unchanged.  A nonzero candidate v
+    takes its lowest bit h as pivot, and each later row w becomes w ^ v if
+    it has bit h, so the child's list is reduced on h too.  The last two
+    levels are unrolled, so each leaf costs a zero test.
+
+    Why a zero test suffices: every picked row vanishes on all earlier
+    pivots, so the picked rows are in echelon form and any nonzero vector
+    of their span is nonzero on some pivot column.  A pending row differs
+    from its original by a vector of the span and vanishes on every pivot,
+    so it is zero exactly when its original lies in the span.
     """
     n = len(rows)
     out = [0] * (1 << n)
-    if not n:
+    if n < 2:
+        if n:
+            out[1] = int(not rows[0])
         return out
-    basis = [0] * n
-    last = n - 1
-    top_unit, top_row = 1 << last, rows[last]
+    last = n - 2
+    below, top = 1 << last, 1 << (n - 1)
 
-    def walk(i: int, mask: int, nul: int) -> None:
+    def walk(i: int, mask: int, nul: int, pending: list[int]) -> None:
         if i == last:
-            for m, v in ((mask, top_unit), (mask | top_unit, top_row)):
-                while v:
-                    b = basis[v.bit_length() - 1]
-                    if not b:
-                        out[m] = nul
-                        break
-                    v ^= b
+            a, b, c, d = pending
+            for m, v in ((mask, a), (mask | below, b)):
+                if v:
+                    h = v & -v
+                    out[m] = nul + (not (c ^ v if c & h else c))
+                    out[m | top] = nul + (not (d ^ v if d & h else d))
                 else:
-                    out[m] = nul + 1
+                    out[m] = nul + 1 + (not c)
+                    out[m | top] = nul + 1 + (not d)
             return
-        unit = 1 << i
-        for m, v in ((mask, unit), (mask | unit, rows[i])):
-            while v:
-                h = v.bit_length() - 1
-                b = basis[h]
-                if not b:
-                    basis[h] = v
-                    walk(i + 1, m, nul)
-                    basis[h] = 0
-                    break
-                v ^= b
+        rest = pending[2:]
+        for m, v in ((mask, pending[0]), (mask | 1 << i, pending[1])):
+            if v:
+                h = v & -v
+                walk(i + 1, m, nul, [w ^ v if w & h else w for w in rest])
             else:
-                walk(i + 1, m, nul + 1)
+                walk(i + 1, m, nul + 1, rest)
 
-    walk(0, 0, 0)
+    walk(0, 0, 0, [x for i, r in enumerate(rows) for x in (1 << i, r)])
     return out
 
 
@@ -432,38 +438,48 @@ def q_rank_det(rows: Sequence[Sequence[Fraction]]) -> tuple[int, Fraction]:
 def q_subset_nullities(rows: Sequence[Sequence[Fraction]]) -> list[int]:
     """Rational twin of :func:`f2_subset_nullities`, fraction-free.
 
-    The walk runs on the cleared rows.  An inserted row v is reduced by each
-    basis row b with pivot p = b[c] as v = p*v - f*b, in insertion order, so
-    b already vanishes on every earlier pivot column; a surviving row is
-    divided by the gcd of its entries and keyed by its first nonzero column.
+    The walk runs on the cleared rows with the same pending list.  A nonzero
+    candidate v takes its first nonzero column c as pivot, p = v[c], and
+    each later row w with f = w[c] nonzero becomes p*w - f*v divided by the
+    gcd of its entries, so the child's list vanishes on c.  The echelon
+    argument of the GF(2) walk carries over unchanged; dividing by the gcd
+    keeps each row primitive, which bounds its entries by minors of the
+    cleared matrix.  The last level is unrolled to a zero test per leaf.
     """
     n = len(rows)
     out = [0] * (1 << n)
+    if not n:
+        return out
     _, ints = _cleared(rows)
-    units = [[int(i == j) for j in range(n)] for i in range(n)]
-    basis: dict[int, list[int]] = {}
+    last = n - 1
+    top = 1 << last
 
-    def walk(i: int, mask: int, nul: int) -> None:
-        if i == n:
-            out[mask] = nul
+    def walk(i: int, mask: int, nul: int, pending: list[list[int]]) -> None:
+        if i == last:
+            out[mask] = nul + (not any(pending[0]))
+            out[mask | top] = nul + (not any(pending[1]))
             return
-        for m, v in ((mask, units[i]), (mask | 1 << i, ints[i])):
-            for c, b in basis.items():
-                f = v[c]
-                if f:
-                    p = b[c]
-                    v = [p * x - f * y for x, y in zip(v, b)]
-            for c, x in enumerate(v):
-                if x:
-                    g = gcd(*v)
-                    basis[c] = [y // g for y in v] if g != 1 else v
-                    walk(i + 1, m, nul)
-                    del basis[c]
+        rest = pending[2:]
+        for m, v in ((mask, pending[0]), (mask | 1 << i, pending[1])):
+            for c, p in enumerate(v):
+                if p:
                     break
             else:
-                walk(i + 1, m, nul + 1)
+                walk(i + 1, m, nul + 1, rest)
+                continue
+            child = []
+            for w in rest:
+                f = w[c]
+                if f:
+                    w = [p * x - f * y for x, y in zip(w, v)]
+                    g = gcd(*w)
+                    if g > 1:
+                        w = [x // g for x in w]
+                child.append(w)
+            walk(i + 1, m, nul, child)
 
-    walk(0, 0, 0)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    walk(0, 0, 0, [x for u, r in zip(units, ints) for x in (u, r)])
     return out
 
 

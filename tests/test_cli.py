@@ -20,7 +20,7 @@ from pivotpoly.formats import (
 )
 from pivotpoly.randgen import random_graph, random_matrix
 from pivotpoly.setsystems import partition_sequence_of
-from pivotpoly import GF2, RATIONAL, Matrix, SubsetMask
+from pivotpoly import GF2, RATIONAL, Matrix, SubsetMask, graph_from_edges
 
 from oracles import partition_listing_by_mask
 from samples import path_graph, pivot_pair_left
@@ -393,6 +393,24 @@ def test_recursion_past_its_memo_cap_exits_two(tmp_path, monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: deletion recursion exceeds the memo cap of 100 rows\n"
+
+
+def test_recursion_deeper_than_the_stack_exits_two(tmp_path, capsys):
+    # Each of the 1 200 matching edges costs one level of the deletion
+    # chain, past Python's default limit of 1 000; the memo keeps the work
+    # small, so only the depth can fail.
+    labels = [f"v{i:04d}" for i in range(2400)]
+    edges = [(labels[2 * i], labels[2 * i + 1]) for i in range(1200)]
+    path = tmp_path / "matching.graph"
+    path.write_text(format_graph(graph_from_edges(labels, edges)))
+    assert main(["interlace", "--graph", str(path), "--method", "recursive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"error: deletion recursion on 2400 labels runs deeper than Python's "
+        r"recursion limit of \d+ frames\n",
+        captured.err,
+    )
 
 
 def test_usage_error_exits_two():

@@ -36,6 +36,7 @@ from samples import (
     classes_to_masks,
     pivot_pair_left,
     pivot_pair_right,
+    rational_stress_matrices,
     sample_rational_matrix,
 )
 
@@ -257,6 +258,96 @@ def test_subset_nullities_on_structured_matrices(field):
                 entries = [[e % 2 for e in row] for row in entries]
             A = Matrix.from_entries(field, labels_for(n), entries)
             assert subset_nullities(A) == subset_nullities_by_elimination(A), (name, n)
+
+
+def test_subset_nullities_on_every_small_gf2_matrix():
+    # Every GF(2) matrix with n <= 3 (1 + 2 + 16 + 512 = 531 of them)
+    # covers each path through the walk's unrolled last two levels.
+    count = 0
+    for n in range(4):
+        for bits in range(1 << (n * n)):
+            entries = [[bits >> (i * n + j) & 1 for j in range(n)] for i in range(n)]
+            A = Matrix.from_entries(GF2, labels_for(n), entries)
+            assert subset_nullities(A) == subset_nullities_by_elimination(A), entries
+            count += 1
+    assert count == 531
+
+
+def _leaf_cases(rng, field, n):
+    """Random n x n entries whose last two rows, a = n-2 and b = n-1, take
+    the values the walk's last levels special-case: zero, equal to each
+    other, a unit e_a or e_b, or (a multiple of) an earlier row."""
+    draw = (lambda: rng.randrange(2)) if field == GF2 else (lambda: rng.randint(-2, 2))
+    scale = 1 if field == GF2 else -2
+    zero = [0] * n
+    a, b = n - 2, n - 1
+    e_a, e_b = ([int(j == i) for j in range(n)] for i in (a, b))
+    for case in [
+        (None, zero),
+        (zero, zero),
+        (zero, e_b),
+        (None, "same"),
+        (e_a, "same"),
+        (e_b, "same"),
+        (None, e_a),
+        (None, e_b),
+        (e_a, None),
+        (e_b, None),
+        (e_a, e_b),
+        (e_b, e_a),
+        (None, "earlier"),
+        ("earlier", None),
+        ("earlier", "same"),
+    ]:
+        entries = [[draw() for _ in range(n)] for _ in range(n)]
+        for i, row in zip((a, b), case):
+            if row == "same":
+                entries[i] = list(entries[a])
+            elif row == "earlier":
+                if i:
+                    entries[i] = [scale * x for x in entries[rng.randrange(i)]]
+            elif row is not None:
+                entries[i] = list(row)
+        yield case, entries
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONAL])
+def test_subset_nullities_on_leaf_special_cases(field):
+    rng = random.Random(47)
+    for n in range(2, 11):
+        cases = list(_leaf_cases(rng, field, n))
+        if field == RATIONAL and n > 8:
+            cases = cases[::3]  # the rational oracle takes 0.2-0.3 s a matrix here
+        for case, entries in cases:
+            A = Matrix.from_entries(field, labels_for(n), entries)
+            assert subset_nullities(A) == subset_nullities_by_elimination(A), (n, case)
+
+
+def test_rational_walk_keeps_integers_small(monkeypatch):
+    # Each row the walk reduces is divided by the gcd of its entries, which
+    # keeps it primitive: its entries are then bounded by minors of the
+    # cleared matrix (Hadamard), and the p*w - f*v passed to gcd by twice
+    # that bound squared.  Without the division the sizes grow geometrically
+    # with the depth.
+    sizes = []
+    real_gcd = matrix.gcd
+
+    def recording_gcd(*xs):
+        sizes.append(max(abs(x) for x in xs).bit_length())
+        return real_gcd(*xs)
+
+    monkeypatch.setattr(matrix, "gcd", recording_gcd)
+    for A in rational_stress_matrices(random.Random(43), 16, 9):
+        sizes.clear()
+        assert subset_nullities(A) == subset_nullities_by_elimination(A)
+        _, ints = matrix._cleared(A.rows)
+        top = max((abs(x) for row in ints for x in row), default=0).bit_length()
+        bound = 2 * A.n * (top + A.n.bit_length()) + 2
+        assert max(sizes, default=0) <= bound, (A.n, max(sizes), bound)
+        if any(row[0] for row in ints[1:]):
+            # The root's pivot e_0 reduces every later row with a nonzero
+            # first entry.
+            assert sizes, A.n
 
 
 def test_sweep_runs_no_per_subset_elimination(monkeypatch):
