@@ -209,44 +209,56 @@ def pivot_orbit(G: Matrix, max_graphs: int = 10**6) -> PivotOrbit:
     """Breadth-first closure of G under all pivots.
 
     Every pivot factors into elementary ones, so expanding only loops and
-    loopless edges reaches the whole orbit.  The orbit always contains G,
-    so ``max_graphs`` must be at least 1.
+    loopless edges reaches the whole orbit.  The search is keyed by the
+    pivot subset X of G, not by the graph: for defined pivots
+    (G*X)*P = G*(X ^ P), so the elementary move P from G*X leads to the
+    subset X ^ P, and a subset reached before needs no pivot at all.  Each
+    newly reached subset costs one elementary pivot.  A new subset whose
+    graph is already known (G*Y = G*X' with Y != X', as an isolated looped
+    vertex gives) is an alias and is not expanded: its moves and targets
+    are those of the graph it equals.  The orbit always contains G, so
+    ``max_graphs`` must be at least 1; it counts distinct graphs.
     """
     require_graph(G)
     if max_graphs < 1:
         raise ValueError(f"max_graphs must be at least 1, got {max_graphs}")
     full = (1 << G.n) - 1
     seen = {G.rows: 0}
+    reached = {0: 0}
     order = [G.rows]
-    raw_moves: list[tuple[int, int, int]] = []
-    queue = deque([G.rows])
+    moves = set()
+    queue = deque([(0, G.rows)])
     while queue:
-        rows = queue.popleft()
-        hi = seen[rows]
+        X, rows = queue.popleft()
+        hi = reached[X]
         for part in _elementary_parts(rows, full):
-            K = _elementary_pivot_rows(rows, part)
-            ki = seen.get(K)
+            Y = X ^ part
+            ki = reached.get(Y)
             if ki is None:
-                if len(order) >= max_graphs:
-                    raise OrbitOverflowError(
-                        f"pivot orbit exceeds {max_graphs} graphs"
-                    )
-                ki = len(order)
-                seen[K] = ki
-                order.append(K)
-                queue.append(K)
-            raw_moves.append((hi, part, ki))
+                K = _elementary_pivot_rows(rows, part)
+                ki = seen.get(K)
+                if ki is None:
+                    if len(order) >= max_graphs:
+                        raise OrbitOverflowError(
+                            f"pivot orbit exceeds {max_graphs} graphs"
+                        )
+                    ki = len(order)
+                    seen[K] = ki
+                    order.append(K)
+                    queue.append((Y, K))
+                reached[Y] = ki
+            moves.add((hi, part, ki) if hi <= ki else (ki, part, hi))
     ranking = sorted(range(len(order)), key=order.__getitem__)
     relabel = {old: new for new, old in enumerate(ranking)}
     graphs = tuple(Matrix(GF2, G.domain, order[idx]) for idx in ranking)
-    dedup = set()
-    for i, part, j in raw_moves:
-        a, b = sorted((relabel[i], relabel[j]))
-        dedup.add((a, b, part))
-    moves = tuple(
-        (a, SubsetMask(G.domain, part), b) for a, b, part in sorted(dedup)
+    ranked = []
+    for i, part, j in moves:
+        a, b = relabel[i], relabel[j]
+        ranked.append((a, b, part) if a <= b else (b, a, part))
+    ranked.sort()
+    return PivotOrbit(
+        graphs, tuple((a, SubsetMask(G.domain, part), b) for a, b, part in ranked)
     )
-    return PivotOrbit(graphs, moves)
 
 
 def graph_from_set_system(M: SetSystem) -> Matrix:

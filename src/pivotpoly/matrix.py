@@ -61,7 +61,9 @@ def check_labels(labels: Iterable[str]) -> tuple[str, ...]:
     """Validate labels: non-empty strings without whitespace, pairwise distinct."""
     out = tuple(labels)
     for lab in out:
-        if not isinstance(lab, str) or not lab or any(ch.isspace() for ch in lab):
+        # str.split() and str.isspace() share one whitespace table, so this
+        # rejects '' and every label holding whitespace in one C-level pass.
+        if not isinstance(lab, str) or lab.split() != [lab]:
             raise ValueError(
                 f"invalid label {lab!r}: labels are non-empty strings without whitespace"
             )
@@ -258,6 +260,16 @@ class Matrix:
         return SubsetMask.full(self.domain)
 
     def is_symmetric(self) -> bool:
+        if self.field == GF2:
+            # Each set bit (i, j) needs its mirror: O(n + edges), not n^2.
+            rows = self.rows
+            for i, r in enumerate(rows):
+                while r:
+                    low = r & -r
+                    if not rows[low.bit_length() - 1] >> i & 1:
+                        return False
+                    r ^= low
+            return True
         return all(
             self.entry_at(i, j) == self.entry_at(j, i)
             for i in range(self.n)

@@ -279,6 +279,46 @@ def test_orbit_equals_pivots_on_the_set_system():
         for a, X, b in orbit.moves:
             assert a <= b
             assert pivot(orbit.graphs[a], X) == orbit.graphs[b]
+        # The listing is complete: every elementary pivot of every orbit
+        # graph appears once, stored under its unordered pair.
+        position = {H: i for i, H in enumerate(orbit.graphs)}
+        brute = set()
+        for a, H in enumerate(orbit.graphs):
+            for P in elementary_pivots(H):
+                b = position[pivot(H, P)]
+                brute.add((min(a, b), P, max(a, b)))
+        assert set(orbit.moves) == brute
+        assert len(orbit.moves) == len(brute)
+
+
+def test_orbit_pivots_once_per_reached_subset(monkeypatch):
+    # (G*X)*P = G*(X ^ P): the search pays one elementary pivot per newly
+    # reached subset of G, never one per move.
+    calls = [0]
+    real = graphs_module._elementary_pivot_rows
+
+    def counting(rows, part):
+        calls[0] += 1
+        return real(rows, part)
+
+    monkeypatch.setattr(graphs_module, "_elementary_pivot_rows", counting)
+    for G in random_graphs_both_kinds(37, 60, 8):
+        calls[0] = 0
+        pivot_orbit(G)
+        assert calls[0] <= len(set_system_of(G).members) - 1
+
+
+def test_orbit_cap_counts_distinct_graphs_not_aliased_subsets():
+    # A looped isolated vertex z has G*{z} = G, so half the subsets of the
+    # set system alias a graph already found.
+    G = graph_from_edges(
+        ["p", "q", "r", "z"], [("p", "q"), ("p", "r"), ("q", "q"), ("z", "z")]
+    )
+    assert len(set_system_of(G).members) == 10
+    orbit = pivot_orbit(G, max_graphs=5)
+    assert len(orbit.graphs) == 5
+    with pytest.raises(OrbitOverflowError, match="exceeds 4 graphs"):
+        pivot_orbit(G, max_graphs=4)
 
 
 def test_elementary_pivots_match_brute_force_listing():

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,8 @@ from pivotpoly import (
     schur_complement,
     transpose,
 )
-from pivotpoly.matrix import q_pivot_rows, q_rank_det, q_subset_nullities
-from pivotpoly.randgen import random_graph, random_matrix
+from pivotpoly.matrix import check_labels, q_pivot_rows, q_rank_det, q_subset_nullities
+from pivotpoly.randgen import labels_for, random_graph, random_matrix
 
 import oracles
 from samples import pivot_pair_left, rational_stress_matrices, sample_rational_matrix
@@ -36,6 +37,36 @@ from samples import pivot_pair_left, rational_stress_matrices, sample_rational_m
 def test_bad_labels_rejected(bad):
     with pytest.raises(ValueError):
         Matrix.zeros(GF2, ["ok", bad])
+
+
+def old_label_predicate(lab):
+    return isinstance(lab, str) and bool(lab) and not any(ch.isspace() for ch in lab)
+
+
+def label_accepted(lab):
+    try:
+        check_labels([lab])
+    except ValueError as err:
+        assert "labels are non-empty strings without whitespace" in str(err)
+        return False
+    return True
+
+
+def four_placements(ch):
+    return (ch, ch + "x", "x" + ch, "x" + ch + "y")
+
+
+def test_label_check_matches_entrywise_whitespace_test():
+    # str.split() and str.isspace() read the same whitespace table.
+    assert not label_accepted("")
+    for code in range(0x3001):
+        for lab in four_placements(chr(code)):
+            assert label_accepted(lab) == old_label_predicate(lab), hex(code)
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert len(spaces) > 20
+    for ch in spaces:
+        for lab in four_placements(ch):
+            assert not label_accepted(lab), hex(ord(ch))
 
 
 def test_duplicate_labels_rejected():
@@ -50,6 +81,51 @@ def test_from_entries_canonicalizes_label_order():
     assert A.entry("a", "b") == 3
     assert A.entry("b", "a") == 2
     assert A.entry("b", "b") == 1
+
+
+def symmetric_entries(rng, field, n):
+    entries = random_matrix(rng, field, n).to_entries()
+    for i in range(n):
+        for j in range(i):
+            entries[i][j] = entries[j][i]
+    return entries
+
+
+def is_symmetric_entrywise(A):
+    entries = A.to_entries()
+    return all(entries[i][j] == entries[j][i] for i in range(A.n) for j in range(A.n))
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONAL])
+def test_is_symmetric_matches_entrywise_oracle(field):
+    rng = random.Random(53)
+    for _ in range(150):
+        n = rng.randint(0, 9)
+        entries = symmetric_entries(rng, field, n)
+        A = Matrix.from_entries(field, labels_for(n), entries)
+        assert A.is_symmetric() and is_symmetric_entrywise(A)
+        if n < 2:
+            continue
+        i, j = rng.sample(range(n), 2)
+        entries[i][j] = 1 - entries[i][j] if field == GF2 else entries[i][j] + 1
+        B = Matrix.from_entries(field, labels_for(n), entries)
+        assert not B.is_symmetric() and not is_symmetric_entrywise(B)
+
+
+def test_gf2_symmetry_check_reads_packed_rows(monkeypatch):
+    G = random_graph(random.Random(59), 12)
+    lopsided = Matrix(GF2, G.domain, (G.rows[0] ^ 1 << 11,) + G.rows[1:])
+    calls = [0]
+    real = Matrix.entry_at
+
+    def counting(self, i, j):
+        calls[0] += 1
+        return real(self, i, j)
+
+    monkeypatch.setattr(Matrix, "entry_at", counting)
+    assert G.is_symmetric()
+    assert not lopsided.is_symmetric()
+    assert calls[0] == 0
 
 
 def test_gf2_entries_validated():
