@@ -16,7 +16,6 @@ from .matrix import (
     Matrix,
     PivotUndefinedError,
     SubsetMask,
-    nullity_by_bits,
 )
 from .setsystems import SetSystem
 
@@ -166,30 +165,28 @@ def elementary_decomposition(G: Matrix, Y: SubsetMask) -> list[SubsetMask]:
     """Split a valid pivot subset into loops and loopless edges.
 
     The parts are disjoint with union Y, and applying the matching
-    elementary pivots left to right reproduces the pivot of G on Y.  The
-    greedy choice (smallest loop, else smallest edge) is taken first; if it
-    ever left a dead end, the search would back off and try the remaining
-    candidates.
+    elementary pivots left to right reproduces the pivot of G on Y.  Each
+    step greedily takes the first applicable elementary pivot P (smallest
+    loop, else smallest edge) inside what remains, R, and never needs to
+    back off: by nullity invariance n((G*P)[R - P]) = n(G[P ^ (R - P)]) =
+    n(G[R]), so every remaining block has the nullity of G[Y].  When G[Y]
+    is nonsingular, so is every remaining block, and a nonempty one has a
+    loop or, being loopless, an edge: some elementary pivot always applies.
+    When G[Y] is singular, no remaining block is empty, so the loop stalls
+    on a block with neither and raises PivotUndefinedError.
     """
     require_graph(G)
     if G.domain != Y.domain:
         raise ValueError("subset domain differs from graph domain")
-    if nullity_by_bits(G, Y.bits) != 0:
-        raise PivotUndefinedError(f"pivot undefined: G[{Y}] singular", Y)
-    parts = _decompose(G.rows, Y.bits)
-    if parts is None:
-        raise RuntimeError(f"no elementary decomposition found for {Y}")
-    return [SubsetMask(G.domain, b) for b in parts]
-
-
-def _decompose(rows: tuple[int, ...], remaining: int):
-    if remaining == 0:
-        return []
-    for part in _elementary_parts(rows, remaining):
-        rest = _decompose(_elementary_pivot_rows(rows, part), remaining ^ part)
-        if rest is not None:
-            return [part] + rest
-    return None
+    rows, remaining, parts = G.rows, Y.bits, []
+    while remaining:
+        part = next(_elementary_parts(rows, remaining), None)
+        if part is None:
+            raise PivotUndefinedError(f"pivot undefined: G[{Y}] singular", Y)
+        rows = _elementary_pivot_rows(rows, part)
+        remaining ^= part
+        parts.append(SubsetMask(G.domain, part))
+    return parts
 
 
 @dataclass(frozen=True)

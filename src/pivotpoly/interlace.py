@@ -49,10 +49,15 @@ class Poly:
 
     @classmethod
     def of(cls, seq: Sequence[int]) -> "Poly":
-        coeffs = list(seq)
+        """Canonical polynomial from integral coefficients of any numeric type."""
+        coeffs = []
+        for c in seq:
+            if c != int(c):
+                raise ValueError(f"coefficient {c!r} is not an integer")
+            coeffs.append(int(c))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        return cls(tuple(int(c) for c in coeffs))
+        return cls(tuple(coeffs))
 
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> "Poly":

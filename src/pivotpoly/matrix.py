@@ -6,8 +6,11 @@ runs as word-wide XOR.  A rational matrix stores ``fractions.Fraction``
 entries, which keep themselves in lowest terms with positive denominators;
 its eliminations (rank, determinant, pivot and the subset sweep) run on
 Python ints, each row scaled once by the lcm of its denominators, and
-build Fractions only for what they return.  Every value is immutable and
-every operation is a pure function.
+build Fractions only for what they return.  Only the row format and the
+elimination kernels know the field; operations that eliminate nothing
+(identity, transpose, products) work on dense entries through
+``Matrix.from_entries``.  Every value is immutable and every operation is
+a pure function.
 """
 
 from __future__ import annotations
@@ -70,6 +73,13 @@ def check_labels(labels: Iterable[str]) -> tuple[str, ...]:
     if len(set(out)) != len(out):
         raise ValueError("duplicate labels in domain")
     return out
+
+
+def _reject_floats(values: Iterable) -> None:
+    """Floats are binary approximations: 0.1 would be stored as 3602879701896397/2^55."""
+    for e in values:
+        if isinstance(e, float):
+            raise ValueError(f"float entry {e!r} is not exact: give an int or a Fraction")
 
 
 @dataclass(frozen=True)
@@ -185,13 +195,16 @@ class Matrix:
         """Build a matrix whose rows/columns follow ``labels`` as given.
 
         The result is canonicalized: rows and columns are permuted into
-        sorted label order.
+        sorted label order.  Float entries are rejected, since they are not
+        exact; give ints or Fractions.
         """
         given = check_labels(labels)
         n = len(given)
         dense = [list(row) for row in entries]
         if len(dense) != n or any(len(row) != n for row in dense):
             raise ValueError(f"entries must form an {n} x {n} array")
+        for row in dense:
+            _reject_floats(row)
         order = sorted(range(n), key=lambda i: given[i])
         domain = tuple(given[i] for i in order)
         if field == GF2:
@@ -214,14 +227,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: str, labels: Iterable[str]) -> "Matrix":
-        domain = tuple(sorted(check_labels(labels)))
-        n = len(domain)
-        if field == GF2:
-            return cls(GF2, domain, tuple(1 << i for i in range(n)))
-        rows = tuple(
-            tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-        )
-        return cls(RATIONAL, domain, rows)
+        labels = tuple(labels)
+        n = len(labels)
+        return cls.from_entries(field, labels, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field: str, labels: Iterable[str]) -> "Matrix":
@@ -379,20 +387,6 @@ def f2_pivot_rows(rows: Sequence[int], bits: int) -> "tuple[int, ...] | None":
     return tuple(r & outside | r >> n & bits for r in rel)
 
 
-def f2_mul_rows(a_rows: Sequence[int], b_rows: Sequence[int]) -> list[int]:
-    """Product of packed GF(2) matrices: a is m x k, b is k x p (k = len(b_rows))."""
-    out = []
-    for arow in a_rows:
-        acc = 0
-        r = arow
-        while r:
-            j = (r & -r).bit_length() - 1
-            acc ^= b_rows[j]
-            r &= r - 1
-        out.append(acc)
-    return out
-
-
 def compact_bits(bits: int, positions: Sequence[int]) -> int:
     """Gather the given bit positions into a contiguous low-order mask."""
     out = 0
@@ -530,16 +524,6 @@ def q_pivot_rows(rows: Sequence[Sequence[Fraction]], bits: int) -> "tuple | None
     return tuple(out)
 
 
-def q_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Product of rational matrices."""
-    p = len(b[0]) if b else 0
-    k = len(b)
-    return [
-        [sum((arow[t] * b[t][c] for t in range(k)), Fraction(0)) for c in range(p)]
-        for arow in a
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Operations on Matrix values.
 
@@ -568,13 +552,7 @@ def delete_label(A: Matrix, label: str) -> Matrix:
 
 
 def transpose(A: Matrix) -> Matrix:
-    if A.field == GF2:
-        rows = tuple(
-            sum((A.rows[j] >> i & 1) << j for j in range(A.n)) for i in range(A.n)
-        )
-        return Matrix(GF2, A.domain, rows)
-    rows = tuple(tuple(A.rows[j][i] for j in range(A.n)) for i in range(A.n))
-    return Matrix(RATIONAL, A.domain, rows)
+    return Matrix.from_entries(A.field, A.domain, zip(*A.to_entries()))
 
 
 def rank(A: Matrix) -> int:
@@ -591,8 +569,10 @@ def nullity(A: Matrix) -> int:
 def nullity_by_bits(A: Matrix, bits: int) -> int:
     """Nullity of the principal submatrix selected by a raw bitmask.
 
-    Fast path for exhaustive subset sweeps; zero columns outside the mask
-    cannot affect the rank, so GF(2) rows are masked rather than compacted.
+    One elimination per call, for spot checks of single subsets; a sweep
+    over every subset goes through :func:`f2_subset_nullities` or
+    :func:`q_subset_nullities`.  Zero columns outside the mask cannot
+    affect the rank, so GF(2) rows are masked rather than compacted.
     """
     k = bits.bit_count()
     if k == 0:
@@ -636,38 +616,27 @@ def identity_outside(A: Matrix, X: SubsetMask) -> Matrix:
     The resulting matrix has the same nullity as the principal submatrix A[X].
     """
     _check_domain(A, X)
-    n = A.n
-    if A.field == GF2:
-        rows = tuple(
-            A.rows[i] if X.bits >> i & 1 else 1 << i for i in range(n)
-        )
-        return Matrix(GF2, A.domain, rows)
-    rows = tuple(
-        A.rows[i]
-        if X.bits >> i & 1
-        else tuple(Fraction(int(i == j)) for j in range(n))
-        for i in range(n)
-    )
-    return Matrix(RATIONAL, A.domain, rows)
+    unit = Matrix.identity(A.field, A.domain).rows
+    rows = tuple(A.rows[i] if X.bits >> i & 1 else unit[i] for i in range(A.n))
+    return Matrix(A.field, A.domain, rows)
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     """Exact matrix product of two matrices over the same domain and field."""
     if A.field != B.field or A.domain != B.domain:
         raise ValueError("matrix product needs matching fields and domains")
+    cols = list(zip(*B.to_entries()))
+    entries = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in A.to_entries()]
     if A.field == GF2:
-        return Matrix(GF2, A.domain, tuple(f2_mul_rows(A.rows, B.rows)))
-    return Matrix(
-        RATIONAL,
-        A.domain,
-        tuple(tuple(r) for r in q_mul(A.rows, B.rows)),
-    )
+        entries = [[e % 2 for e in row] for row in entries]
+    return Matrix.from_entries(A.field, A.domain, entries)
 
 
 def mat_vec(A: Matrix, xs: Sequence) -> list:
     """Matrix-vector product; xs is indexed like A's domain."""
     if len(xs) != A.n:
         raise ValueError("vector length differs from matrix dimension")
+    _reject_floats(xs)
     if A.field == GF2:
         packed = 0
         for i, v in enumerate(xs):

@@ -9,11 +9,9 @@ same elimination on the full domain.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .matrix import (
-    RATIONAL,
     Matrix,
     PivotUndefinedError,
     SubsetMask,
@@ -72,8 +70,6 @@ def verify_partial_inverse(A: Matrix, X: SubsetMask, xs: Sequence) -> bool:
     if len(xs) != A.n:
         raise ValueError("vector length differs from matrix dimension")
     B = pivot(A, X)
-    if A.field == RATIONAL:
-        xs = [Fraction(v) for v in xs]
     ys = mat_vec(A, xs)
     mixed = [ys[i] if X.bits >> i & 1 else xs[i] for i in range(A.n)]
     out = mat_vec(B, mixed)

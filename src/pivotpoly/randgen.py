@@ -31,15 +31,18 @@ def labels_for(n: int) -> tuple[str, ...]:
     return tuple(f"v{i:02d}" for i in range(n))
 
 
-def random_matrix(rng: random.Random, field: str, n: int) -> Matrix:
-    labels = labels_for(n)
+def _entry_draw(rng: random.Random, field: str):
+    """The per-entry draw of a field, as a function of no arguments."""
     if field == GF2:
-        entries = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
-    elif field == RATIONAL:
-        entries = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-    else:
-        raise ValueError(f"unknown field {field!r}")
-    return Matrix.from_entries(field, labels, entries)
+        return lambda: rng.randrange(2)
+    if field == RATIONAL:
+        return lambda: rng.randint(-3, 3)
+    raise ValueError(f"unknown field {field!r}")
+
+
+def random_matrix(rng: random.Random, field: str, n: int) -> Matrix:
+    draw = _entry_draw(rng, field)
+    return Matrix.from_entries(field, labels_for(n), [[draw() for _ in range(n)] for _ in range(n)])
 
 
 def random_graph(rng: random.Random, n: int) -> Matrix:
@@ -54,11 +57,8 @@ def random_graph(rng: random.Random, n: int) -> Matrix:
 
 
 def random_vector(rng: random.Random, field: str, n: int) -> list[int]:
-    if field == GF2:
-        return [rng.randrange(2) for _ in range(n)]
-    if field == RATIONAL:
-        return [rng.randint(-3, 3) for _ in range(n)]
-    raise ValueError(f"unknown field {field!r}")
+    draw = _entry_draw(rng, field)
+    return [draw() for _ in range(n)]
 
 
 def random_subset(rng: random.Random, domain: tuple[str, ...]) -> SubsetMask:

@@ -155,6 +155,22 @@ def block_formula_pivot(entries, xs, mod2=False):
     return [[entry(i, j) for j in range(n)] for i in range(n)]
 
 
+def dense_product(a, b, mod2=False):
+    """Entrywise product of two n x n lists of lists: sum over t of
+    a[i][t] * b[t][j], taken mod 2 when mod2, else as a Fraction."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            v = 0
+            for t in range(n):
+                v += a[i][t] * b[t][j]
+            row.append(v % 2 if mod2 else Fraction(v))
+        out.append(row)
+    return out
+
+
 def rational_rank_entrywise(entries) -> int:
     """Gaussian elimination over Fractions on a plain list-of-lists."""
     a = [[Fraction(x) for x in row] for row in entries]

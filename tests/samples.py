@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from pivotpoly import Matrix, RATIONAL, SubsetMask, graph_from_edges
+from pivotpoly import GF2, Matrix, RATIONAL, SubsetMask, graph_from_edges
 from pivotpoly.randgen import labels_for
 
 # 3x3 rational matrix with a singular {b,c} block and nonsingular {a,b} block.
@@ -58,6 +58,18 @@ def rational_stress_matrices(rng, count: int, max_n: int) -> list[Matrix]:
         entries = big_fraction_entries(rng, n, dependent=trial % 2 == 1)
         out.append(Matrix.from_entries(RATIONAL, labels_for(n), entries))
     return out
+
+
+def all_graphs(n: int):
+    """Every symmetric GF(2) matrix on n labeled vertices."""
+    labels = [f"v{i}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    for code in range(1 << len(pairs)):
+        entries = [[0] * n for _ in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            if code >> k & 1:
+                entries[i][j] = entries[j][i] = 1
+        yield Matrix.from_entries(GF2, labels, entries)
 
 
 # Four-vertex graph with loops on 2 and 3; pivoting on {1,2,3} lands on the

@@ -27,8 +27,10 @@ from pivotpoly.graphs import require_graph
 from pivotpoly.interlace import interlace_recursive
 from pivotpoly.randgen import random_graph
 
+import oracles
 from samples import (
     SMALL_ORBIT_MOVES,
+    all_graphs,
     pivot_pair_left,
     pivot_pair_right,
     small_orbit_graphs,
@@ -167,6 +169,31 @@ def test_decomposition_requires_nonsingular_subset():
     G = pivot_pair_left()
     with pytest.raises(PivotUndefinedError):
         elementary_decomposition(G, G.subset("1", "4"))
+
+
+def test_greedy_decomposition_exhaustive_small():
+    # Every graph with n <= 4 and every subset Y: the greedy walk uses all
+    # of Y exactly when G[Y] is nonsingular, else stalls with the
+    # documented error.
+    for n in range(5):
+        for G in all_graphs(n):
+            entries = G.to_entries()
+            for bits in range(1 << n):
+                Y = SubsetMask(G.domain, bits)
+                idx = Y.indices()
+                block = [[entries[i][j] for j in idx] for i in idx]
+                if oracles.gf2_rank_entrywise(block) == len(idx):
+                    parts = elementary_decomposition(G, Y)
+                    assert sorted(i for part in parts for i in part.indices()) == list(idx)
+                    H = G
+                    for part in parts:
+                        H = pivot(H, part)
+                    assert H == pivot(G, Y)
+                else:
+                    with pytest.raises(PivotUndefinedError) as info:
+                        elementary_decomposition(G, Y)
+                    assert str(info.value) == f"pivot undefined: G[{Y}] singular"
+                    assert info.value.subset == Y
 
 
 def test_decomposition_composes_to_pivot_everywhere():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -27,19 +28,7 @@ from pivotpoly import (
 )
 from pivotpoly.randgen import random_graph, random_matrix, random_valid_pivot_subset
 
-from samples import path_graph, pivot_pair_left, sample_rational_matrix
-
-
-def all_graphs(n):
-    """Every symmetric GF(2) matrix on n labeled vertices."""
-    labels = [f"v{i}" for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    for code in range(1 << len(pairs)):
-        entries = [[0] * n for _ in range(n)]
-        for k, (i, j) in enumerate(pairs):
-            if code >> k & 1:
-                entries[i][j] = entries[j][i] = 1
-        yield Matrix.from_entries(GF2, labels, entries)
+from samples import all_graphs, path_graph, pivot_pair_left, sample_rational_matrix
 
 
 # --- Poly ------------------------------------------------------------------------
@@ -49,6 +38,19 @@ def test_poly_trims_and_validates():
     assert Poly.of([0, 0]) == Poly(())
     with pytest.raises(ValueError):
         Poly((1, 0))
+
+
+def test_poly_rejects_non_integral_coefficients():
+    # Truncating 1.5 to 1 would change the polynomial silently, and trimming
+    # before converting would report Fraction(1, 2) as a trailing zero.
+    with pytest.raises(ValueError, match="1.5"):
+        Poly.of([1.5, 2])
+    with pytest.raises(ValueError, match="Fraction\\(1, 2\\)"):
+        Poly.of([Fraction(1, 2)])
+    with pytest.raises(ValueError, match="Fraction\\(7, 3\\)"):
+        Poly.of([1, Fraction(7, 3), 0])
+    assert Poly.of([Fraction(3), 2.0, Fraction(0)]) == Poly((3, 2))
+    assert all(type(c) is int for c in Poly.of([Fraction(3), 2.0]).coeffs)
 
 
 def test_poly_arithmetic():

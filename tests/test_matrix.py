@@ -25,7 +25,7 @@ from pivotpoly import (
     transpose,
 )
 from pivotpoly.matrix import check_labels, q_pivot_rows, q_rank_det, q_subset_nullities
-from pivotpoly.randgen import labels_for, random_graph, random_matrix
+from pivotpoly.randgen import labels_for, random_graph, random_matrix, random_vector
 
 import oracles
 from samples import pivot_pair_left, rational_stress_matrices, sample_rational_matrix
@@ -131,6 +131,17 @@ def test_gf2_symmetry_check_reads_packed_rows(monkeypatch):
 def test_gf2_entries_validated():
     with pytest.raises(ValueError):
         Matrix.from_entries(GF2, ["a"], [[2]])
+
+
+@pytest.mark.parametrize("field, value", [(RATIONAL, 0.1), (RATIONAL, 2.0), (GF2, 1.0), (GF2, 0.0)])
+def test_float_entries_rejected(field, value):
+    # Over Q, 0.1 would be stored as 3602879701896397/36028797018963968;
+    # over GF(2), 1.0 == 1 would slip past the 0/1 check.
+    with pytest.raises(ValueError, match="float"):
+        Matrix.from_entries(field, ["a", "b"], [[1, 0], [value, 1]])
+    with pytest.raises(ValueError, match="float"):
+        mat_vec(Matrix.identity(field, ["a", "b"]), [0, value])
+    assert Matrix.from_entries(RATIONAL, ["a"], [[Fraction(1, 10)]]).rows == ((Fraction(1, 10),),)
 
 
 @pytest.mark.parametrize(
@@ -426,6 +437,68 @@ def test_mat_mul_identity_and_mismatch():
     G = random_graph(random.Random(1), 3)
     with pytest.raises(ValueError):
         mat_mul(A, G)
+
+
+def _product_cases():
+    """(A, B, mod2) triples for n = 0..7 over both fields: random matrices,
+    then the rational stress matrices paired with a random matrix and with
+    themselves."""
+    rng = random.Random(59)
+    for field in (GF2, RATIONAL):
+        for n in range(8):
+            for _ in range(4):
+                yield random_matrix(rng, field, n), random_matrix(rng, field, n), field == GF2
+    for A in rational_stress_matrices(random.Random(61), 24, 7):
+        yield A, random_matrix(rng, RATIONAL, A.n), False
+        yield A, A, False
+
+
+def test_products_against_dense_oracle():
+    rng = random.Random(67)
+    for A, B, mod2 in _product_cases():
+        a, b = A.to_entries(), B.to_entries()
+        n = A.n
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        I = Matrix.identity(A.field, A.domain)
+        assert I.to_entries() == unit
+        ab = oracles.dense_product(a, b, mod2)
+        assert mat_mul(A, B).to_entries() == ab
+        assert oracles.dense_product(I.to_entries(), a, mod2) == a
+        assert oracles.dense_product(a, I.to_entries(), mod2) == a
+        At, Bt = transpose(A), transpose(B)
+        assert At.to_entries() == [[a[j][i] for j in range(n)] for i in range(n)]
+        # (AB)^T = B^T A^T
+        assert oracles.dense_product(Bt.to_entries(), At.to_entries(), mod2) == [
+            [ab[j][i] for j in range(n)] for i in range(n)
+        ]
+        # Replacing the rows outside X by identity rows is D A + (I - D),
+        # with D the 0/1 diagonal of X.
+        X = SubsetMask(A.domain, rng.randrange(1 << n))
+        d = [[int(i == j and X.bits >> i & 1) for j in range(n)] for i in range(n)]
+        da = oracles.dense_product(d, a, mod2)
+        expected = [[da[i][j] + unit[i][j] - d[i][j] for j in range(n)] for i in range(n)]
+        assert identity_outside(A, X).to_entries() == expected
+
+
+def test_identity_rejects_unknown_fields():
+    with pytest.raises(ValueError, match="unknown field"):
+        Matrix.identity("z", ["a"])
+
+
+def test_random_draws_share_one_stream():
+    # One entry draw per field: randrange(2) over GF(2), randint(-3, 3) over Q.
+    for field, draw in ((GF2, lambda r: r.randrange(2)), (RATIONAL, lambda r: r.randint(-3, 3))):
+        ref = random.Random(5)
+        expected = [[draw(ref) for _ in range(3)] for _ in range(3)]
+        vector = [draw(ref) for _ in range(3)]
+        rng = random.Random(5)
+        assert random_matrix(rng, field, 3).to_entries() == expected
+        assert random_vector(rng, field, 3) == vector
+    for n in (0, 1, 3):
+        with pytest.raises(ValueError, match="unknown field 'z'"):
+            random_matrix(random.Random(1), "z", n)
+        with pytest.raises(ValueError, match="unknown field 'z'"):
+            random_vector(random.Random(1), "z", n)
 
 
 def test_mat_vec_both_fields():

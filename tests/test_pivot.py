@@ -197,6 +197,14 @@ def test_partial_inverse_dimension_mismatch():
         verify_partial_inverse(A, A.subset("a"), [1, 2])
 
 
+def test_partial_inverse_rejects_float_vectors():
+    # The vector must reach mat_vec unconverted, so its float check applies.
+    A = sample_rational_matrix()
+    with pytest.raises(ValueError, match="float"):
+        verify_partial_inverse(A, A.subset("a", "b"), [0.1, 0, 1])
+    assert verify_partial_inverse(A, A.subset("a", "b"), [Fraction(1, 10), 0, 1])
+
+
 # --- nullity invariance -------------------------------------------------------
 
 def test_nullity_after_pivot_worked_rational():
