@@ -235,10 +235,10 @@ def _verify_trial(prop: str, rng: random.Random, size: int, field: str) -> bool:
             return False
         return True
     A = randgen.random_matrix(rng, field, n)
-    X = randgen.random_valid_pivot_subset(rng, A)
+    before = setsystems.subset_nullities(A)
+    X = randgen.valid_pivot_subset_from(rng, A.domain, before)
     if prop == "nullity-invariance":
         if field == GF2:
-            before = setsystems.subset_nullities(A)
             after = setsystems.subset_nullities(pivot(A, X))
             return all(k == before[y ^ X.bits] for y, k in enumerate(after))
         Y = randgen.random_subset(rng, A.domain)
@@ -251,7 +251,7 @@ def _verify_trial(prop: str, rng: random.Random, size: int, field: str) -> bool:
         xs = randgen.random_vector(rng, field, n)
         return verify_partial_inverse(A, X, xs)
     if prop == "twist":
-        P = setsystems.partition_sequence_of(A)
+        P = setsystems.PartitionSequence(A.domain, tuple(before))
         return setsystems.twist(P, X) == setsystems.partition_sequence_of(pivot(A, X))
     raise ValueError(f"unknown property {prop!r}")
 
@@ -280,7 +280,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify" and args.prop == "cohn-lempel" and args.field != GF2:
+        parser.error("argument --field: cohn-lempel is a GF(2) property; use --field f2")
     try:
         return _HANDLERS[args.command](args)
     except SingularMatrixError as e:

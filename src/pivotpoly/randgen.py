@@ -14,7 +14,7 @@ import random
 import string
 
 from .matrix import GF2, RATIONAL, Matrix, SubsetMask
-from .setsystems import set_system_of
+from .setsystems import subset_nullities
 
 __all__ = [
     "labels_for",
@@ -23,6 +23,7 @@ __all__ = [
     "random_vector",
     "random_subset",
     "random_valid_pivot_subset",
+    "valid_pivot_subset_from",
     "random_dos",
 ]
 
@@ -70,8 +71,18 @@ def random_valid_pivot_subset(rng: random.Random, A: Matrix) -> SubsetMask:
 
     The empty set always qualifies, so this never fails.
     """
-    members = sorted(set_system_of(A).members)
-    return SubsetMask(A.domain, rng.choice(members))
+    return valid_pivot_subset_from(rng, A.domain, subset_nullities(A))
+
+
+def valid_pivot_subset_from(rng: random.Random, domain: tuple[str, ...], nullities) -> SubsetMask:
+    """The draw of :func:`random_valid_pivot_subset`, from a sweep already made.
+
+    ``nullities`` is the mask-indexed list of ``subset_nullities``; the
+    masks of nullity 0 in ascending order are the sorted set system, so a
+    caller that needs the sweep anyway draws the same subset without a
+    second one.
+    """
+    return SubsetMask(domain, rng.choice([m for m, k in enumerate(nullities) if not k]))
 
 
 def random_dos(rng: random.Random, n: int) -> tuple[str, ...]:

@@ -15,6 +15,7 @@ from .matrix import (
     GF2,
     Matrix,
     SubsetMask,
+    f2_nullity_histogram,
     f2_subset_nullities,
     q_subset_nullities,
 )
@@ -33,12 +34,15 @@ __all__ = [
     "restrict",
 ]
 
-# Subsets are swept as bitmasks over the sorted domain.  The cap bounds
-# memory: the sweep's list alone holds 2^n ints (2^24 x 8 B = 128 MiB).  The
+# Subsets are swept as bitmasks over the sorted domain.  For listings, set
+# systems, twists and rational histograms the cap bounds memory: the
+# sweep's list alone holds 2^n ints (2^24 x 8 B = 128 MiB).  The
 # depth-first walk costs about 0.5 us per subset over GF(2) (0.5 s at
 # n = 20, about 9 s at the cap) and about 4 us over the rationals with
 # small integer entries, on one idle core under CPython 3.11; a loaded
-# shared host takes about twice that.
+# shared host takes about twice that.  A GF(2) histogram builds no list,
+# so for it the cap bounds time (about 0.3 s at n = 20 and 6 s at the
+# cap), and its memo's entry bound bounds its memory.
 ENUMERATION_CAP = 24
 
 # The graph deletion recursion memoises each distinct subgraph it reaches,
@@ -112,13 +116,17 @@ def subset_nullities(A: Matrix) -> list[int]:
     test (see :func:`~pivotpoly.matrix.f2_subset_nullities`), not an
     elimination.
     """
+    _check_enumeration_cap(A)
+    if A.field == GF2:
+        return f2_subset_nullities(A.rows)
+    return q_subset_nullities(A.rows)
+
+
+def _check_enumeration_cap(A: Matrix) -> None:
     if A.n > ENUMERATION_CAP:
         raise ValueError(
             f"domain size {A.n} exceeds the subset enumeration cap {ENUMERATION_CAP}"
         )
-    if A.field == GF2:
-        return f2_subset_nullities(A.rows)
-    return q_subset_nullities(A.rows)
 
 
 def _class_sizes(nullities, n: int) -> tuple[int, ...]:
@@ -129,8 +137,16 @@ def _class_sizes(nullities, n: int) -> tuple[int, ...]:
 
 
 def nullity_histogram(A: Matrix) -> tuple[int, ...]:
-    """How many subsets fall in each nullity class; sums to 2^n."""
-    return _class_sizes(subset_nullities(A), A.n)
+    """How many subsets fall in each nullity class; sums to 2^n.
+
+    Over GF(2) the counts come from a walk that memoises deep subtrees and
+    builds no mask-indexed list (see
+    :func:`~pivotpoly.matrix.f2_nullity_histogram`).
+    """
+    _check_enumeration_cap(A)
+    if A.field == GF2:
+        return f2_nullity_histogram(A.rows)
+    return _class_sizes(q_subset_nullities(A.rows), A.n)
 
 
 def set_system_of(A: Matrix) -> SetSystem:

@@ -18,8 +18,13 @@ from pivotpoly.formats import (
     parse_graph,
     parse_matrix,
 )
-from pivotpoly.randgen import random_graph, random_matrix
-from pivotpoly.setsystems import partition_sequence_of
+from pivotpoly.randgen import (
+    random_graph,
+    random_matrix,
+    random_valid_pivot_subset,
+    valid_pivot_subset_from,
+)
+from pivotpoly.setsystems import partition_sequence_of, subset_nullities
 from pivotpoly import GF2, RATIONAL, Matrix, SubsetMask, graph_from_edges
 
 from oracles import partition_listing_by_mask
@@ -282,8 +287,11 @@ def test_orbit_command_overflow(tmp_path, capsys):
     [
         ("nullity-invariance", "f2"),
         ("nullity-invariance", "q"),
+        ("tucker", "f2"),
         ("tucker", "q"),
         ("partial-inverse", "f2"),
+        ("partial-inverse", "q"),
+        ("twist", "f2"),
         ("twist", "q"),
         ("recursion", "f2"),
         ("recursion", "q"),
@@ -329,6 +337,34 @@ def test_verify_cohn_lempel_catches_wrong_walk_count(monkeypatch, capsys):
     monkeypatch.setattr(circuits, "walk_counts", lambda s: [c + 1 for c in real(s)])
     code, passed, trials = _verify_counts("cohn-lempel", capsys)
     assert code == 1 and passed < trials == 20
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONAL])
+def test_shared_sweep_draws_the_same_pivot_subset(field):
+    # The verify trials draw X from the sweep they need anyway; the draw
+    # must match random_valid_pivot_subset from the same RNG state, so the
+    # trials see the same instances as before.
+    rng = random.Random(71)
+    for _ in range(60):
+        A = random_matrix(rng, field, rng.randint(0, 7))
+        state = rng.getstate()
+        X = random_valid_pivot_subset(rng, A)
+        after = rng.getstate()
+        rng.setstate(state)
+        assert valid_pivot_subset_from(rng, A.domain, subset_nullities(A)) == X
+        assert rng.getstate() == after
+
+
+def test_cohn_lempel_over_q_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--prop", "cohn-lempel", "--trials", "3", "--field", "q"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cohn-lempel is a GF(2) property" in captured.err
+    for argv in (["--field", "f2"], []):
+        assert main(["verify", "--prop", "cohn-lempel", "--trials", "3", *argv]) == 0
+        assert capsys.readouterr().out == "3/3 pass\n"
 
 
 def test_verify_is_deterministic(capsys):

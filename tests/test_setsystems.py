@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,9 @@ from pivotpoly.setsystems import (
     subset_nullities,
 )
 from pivotpoly import matrix, setsystems
-from pivotpoly.randgen import labels_for, random_matrix, random_valid_pivot_subset
+from pivotpoly.cli import main
+from pivotpoly.interlace import nullity_polynomial
+from pivotpoly.randgen import labels_for, random_graph, random_matrix, random_valid_pivot_subset
 
 from oracles import subset_nullities_by_elimination
 from samples import (
@@ -379,3 +382,77 @@ def test_enumeration_cap_is_enforced():
     big = Matrix.zeros(GF2, [f"v{i:03d}" for i in range(ENUMERATION_CAP + 1)])
     with pytest.raises(ValueError, match="enumeration cap"):
         subset_nullities(big)
+
+
+# --- the GF(2) histogram walk -------------------------------------------------------------
+
+def _histogram_of_sweep(A):
+    counts = Counter(subset_nullities(A))
+    return tuple(counts[k] for k in range(A.n + 1))
+
+
+# None keeps the module's bound; 0 and 1 run the walk's "memo full" path
+# from the first subtree on, so every count is then walked, not looked up.
+MEMO_BOUNDS = [None, 0, 1]
+
+
+@pytest.fixture(params=MEMO_BOUNDS, ids=lambda b: f"memo_entries={b}")
+def memo_bound(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(matrix, "_HISTOGRAM_MEMO_ENTRIES", request.param)
+    return request.param
+
+
+def test_histogram_walk_on_every_small_gf2_matrix(memo_bound):
+    # n = 0 and 1 are special-cased; n = 2 and 3 run the unrolled leaf
+    # levels alone and under one walk level, with every level memoised.
+    count = 0
+    for n in range(4):
+        for bits in range(1 << (n * n)):
+            entries = [[bits >> (i * n + j) & 1 for j in range(n)] for i in range(n)]
+            A = Matrix.from_entries(GF2, labels_for(n), entries)
+            assert nullity_histogram(A) == _histogram_of_sweep(A), entries
+            count += 1
+    assert count == 531
+
+
+def test_histogram_walk_on_random_matrices_and_graphs(memo_bound):
+    rng = random.Random(53)
+    for n in range(13):
+        for _ in range(4 if n < 10 else 2):
+            for A in (random_matrix(rng, GF2, n), random_graph(rng, n)):
+                assert nullity_histogram(A) == _histogram_of_sweep(A), (n, A.rows)
+
+
+def test_histogram_walk_on_leaf_special_cases(memo_bound):
+    rng = random.Random(59)
+    for n in range(2, 11):
+        for case, entries in _leaf_cases(rng, GF2, n):
+            A = Matrix.from_entries(GF2, labels_for(n), entries)
+            assert nullity_histogram(A) == _histogram_of_sweep(A), (n, case)
+
+
+@pytest.mark.parametrize("levels", [0, 1, 3, 64])
+def test_histogram_walk_at_every_memo_depth(levels, monkeypatch):
+    # 0 memoises nothing, 1 only the unrolled leaf level, 64 every level.
+    monkeypatch.setattr(matrix, "_HISTOGRAM_MEMO_LEVELS", levels)
+    rng = random.Random(61)
+    for n in range(11):
+        for A in (random_matrix(rng, GF2, n), random_graph(rng, n)):
+            assert nullity_histogram(A) == _histogram_of_sweep(A), (levels, n)
+
+
+def test_histogram_consumers_build_no_mask_list(monkeypatch, capsys):
+    def refuse(rows):
+        raise AssertionError("a histogram consumer built the 2^n mask list")
+
+    monkeypatch.setattr(matrix, "f2_subset_nullities", refuse)
+    monkeypatch.setattr(setsystems, "f2_subset_nullities", refuse)
+    G = graph_from_edges("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("e", "e")])
+    A = random_matrix(random.Random(67), GF2, 9)
+    with pytest.raises(AssertionError, match="mask list"):
+        subset_nullities(A)
+    assert sum(nullity_histogram(A)) == 1 << 9
+    assert sum(nullity_polynomial(G).coeffs) == 1 << 5
+    assert main(["distribution", "--dos", "abcadbcd"]) == 0
+    assert capsys.readouterr().out.endswith("match\n")
