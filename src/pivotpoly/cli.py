@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 parse or usage error,
-3 mathematical precondition violation (for example a singular pivot block).
+3 mathematical precondition violation (for example a singular pivot block),
+141 stdout closed before the output was written (128 + SIGPIPE, as when the
+output is piped into ``head``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -17,6 +20,7 @@ from .formats import (
     format_graph,
     format_matrix,
     format_norm,
+    format_orbit_blocks,
     format_partition_sequence,
     parse_graph,
     parse_matrix,
@@ -201,14 +205,8 @@ def _cmd_distribution(args) -> int:
 
 def _cmd_orbit(args) -> int:
     G = parse_graph(_read(args.graph))
-    orbit = graphs.pivot_orbit(G, max_graphs=args.max_graphs)
-    print(f"orbit size {len(orbit.graphs)}")
-    for idx, H in enumerate(orbit.graphs):
-        print(f"graph {idx}")
-        print(format_graph(H), end="")
-    print("moves")
-    for a, X, b in orbit.moves:
-        print(f"{a} {X} {b}")
+    rows, moves = graphs._orbit_search(G, args.max_graphs)
+    sys.stdout.writelines(format_orbit_blocks(G.domain, rows, moves))
     return 0
 
 
@@ -295,4 +293,19 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Console entry point: exit with the code of :func:`main`.
+
+    When the reader of stdout goes away early, as ``pivotpoly orbit ... |
+    head -1`` does, the run ends with exit 141 (128 + SIGPIPE, what a shell
+    reports for a process killed by that signal) and no traceback.  Stdout
+    is flushed inside the ``try`` so the broken pipe surfaces here, then
+    pointed at os.devnull so the flush at interpreter exit cannot fail again.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 from .matrix import GF2, RATIONAL, Matrix
 from .setsystems import PartitionSequence
@@ -28,6 +30,7 @@ __all__ = [
     "format_matrix",
     "parse_graph",
     "format_graph",
+    "format_orbit_blocks",
     "format_norm",
     "format_partition_sequence",
 ]
@@ -127,12 +130,63 @@ def parse_graph(text: str) -> Matrix:
 def format_graph(G: Matrix) -> str:
     if G.field != GF2:
         raise ValueError("graph format applies to GF(2) matrices")
-    lines = ["graph", " ".join(G.domain)]
-    for i in range(G.n):
-        for j in range(i, G.n):
-            if G.rows[i] >> j & 1:
-                lines.append(f"{G.domain[i]} {G.domain[j]}")
-    return "\n".join(lines) + "\n"
+    return next(_graph_blocks(G.domain, (G.rows,)))
+
+
+def _graph_blocks(domain, graphs):
+    """Yield the graph-file text of each packed-row graph, all on ``domain``.
+
+    Row i prints the edges from label i to labels at or after it, so its
+    text depends only on (i, row >> i) and is built once per call.
+    """
+    head = "graph\n" + " ".join(domain) + "\n"
+    edges: list[dict[int, str]] = [{} for _ in domain]
+    for rows in graphs:
+        block = [head]
+        for i, row in enumerate(rows):
+            m = row >> i
+            text = edges[i].get(m)
+            if text is None:
+                u, lines, b = domain[i], [], m
+                while b:
+                    low = b & -b
+                    lines.append(f"{u} {domain[i + low.bit_length() - 1]}\n")
+                    b ^= low
+                text = edges[i][m] = "".join(lines)
+            block.append(text)
+        yield "".join(block)
+
+
+def format_orbit_blocks(domain, graphs, moves):
+    """Yield the text of a pivot orbit one graph block at a time.
+
+    ``graphs`` are packed row tuples in orbit order and ``moves`` sorted
+    ``(a, b, part)`` triples with ``part`` a bitmask, as the orbit search
+    returns them.  The text is ``orbit size N``, then ``graph i`` and the
+    graph file of each graph, then ``moves`` and one ``a {X} b`` line per
+    move; the move lines come in one block per first graph ``a``.
+    """
+    yield f"orbit size {len(graphs)}\n"
+    for idx, block in enumerate(_graph_blocks(domain, graphs)):
+        yield f"graph {idx}\n{block}"
+    yield "moves\n"
+    names: dict[int, str] = {}
+    for a, group in groupby(moves, itemgetter(0)):
+        lines = []
+        for _, b, part in group:
+            name = names.get(part)
+            if name is None:
+                name = names[part] = "{" + ",".join(_labels_of(domain, part)) + "}"
+            lines.append(f"{a} {name} {b}\n")
+        yield "".join(lines)
+
+
+def _labels_of(domain, bits: int):
+    """The labels of a mask, by increasing bit."""
+    while bits:
+        low = bits & -bits
+        yield domain[low.bit_length() - 1]
+        bits ^= low
 
 
 def format_norm(counts) -> str:

@@ -216,6 +216,23 @@ def pivot_orbit(G: Matrix, max_graphs: int = 10**6) -> PivotOrbit:
     are those of the graph it equals.  The orbit always contains G, so
     ``max_graphs`` must be at least 1; it counts distinct graphs.
     """
+    graphs, moves = _orbit_search(G, max_graphs)
+    domain = G.domain
+    return PivotOrbit(
+        tuple(Matrix(GF2, domain, rows) for rows in graphs),
+        tuple((a, SubsetMask(domain, part), b) for a, b, part in moves),
+    )
+
+
+def _orbit_search(G: Matrix, max_graphs: int):
+    """The search behind :func:`pivot_orbit`, on packed rows.
+
+    Returns the orbit's row tuples in canonical order and its moves as
+    sorted ``(a, b, part)`` triples with ``a <= b`` and ``part`` a bitmask.
+    An elementary pivot is its own inverse and applies at both ends of its
+    move, so a move between two distinct graphs is met once from each end;
+    it is recorded only from the end found first.
+    """
     require_graph(G)
     if max_graphs < 1:
         raise ValueError(f"max_graphs must be at least 1, got {max_graphs}")
@@ -223,7 +240,7 @@ def pivot_orbit(G: Matrix, max_graphs: int = 10**6) -> PivotOrbit:
     seen = {G.rows: 0}
     reached = {0: 0}
     order = [G.rows]
-    moves = set()
+    moves = []
     queue = deque([(0, G.rows)])
     while queue:
         X, rows = queue.popleft()
@@ -244,18 +261,18 @@ def pivot_orbit(G: Matrix, max_graphs: int = 10**6) -> PivotOrbit:
                     order.append(K)
                     queue.append((Y, K))
                 reached[Y] = ki
-            moves.add((hi, part, ki) if hi <= ki else (ki, part, hi))
+            if hi <= ki:
+                moves.append((hi, part, ki))
     ranking = sorted(range(len(order)), key=order.__getitem__)
-    relabel = {old: new for new, old in enumerate(ranking)}
-    graphs = tuple(Matrix(GF2, G.domain, order[idx]) for idx in ranking)
+    relabel = [0] * len(order)
+    for new, old in enumerate(ranking):
+        relabel[old] = new
     ranked = []
     for i, part, j in moves:
         a, b = relabel[i], relabel[j]
         ranked.append((a, b, part) if a <= b else (b, a, part))
     ranked.sort()
-    return PivotOrbit(
-        graphs, tuple((a, SubsetMask(G.domain, part), b) for a, b, part in ranked)
-    )
+    return [order[idx] for idx in ranking], ranked
 
 
 def graph_from_set_system(M: SetSystem) -> Matrix:

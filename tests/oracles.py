@@ -223,3 +223,27 @@ def partition_listing_by_mask(domain, nullities) -> str:
     sizes = [str(list(nullities).count(i)) for i in range(n + 1)]
     lines.append("norm: (" + ",".join(sizes) + ")")
     return "\n".join(lines) + "\n"
+
+
+def graph_text_entrywise(G) -> str:
+    """A graph file, one entry test per pair of labels at or after the
+    diagonal: the graph printer as it was before the block writer."""
+    lines = ["graph", " ".join(G.domain)]
+    for i in range(G.n):
+        for j in range(i, G.n):
+            if G.entry_at(i, j):
+                lines.append(f"{G.domain[i]} {G.domain[j]}")
+    return "\n".join(lines) + "\n"
+
+
+def orbit_text_by_objects(orbit) -> str:
+    """`pivotpoly orbit` stdout from a PivotOrbit's Matrix and SubsetMask
+    values, one graph file and one ``str(X)`` per move."""
+    out = [f"orbit size {len(orbit.graphs)}\n"]
+    for idx, H in enumerate(orbit.graphs):
+        out.append(f"graph {idx}\n")
+        out.append(graph_text_entrywise(H))
+    out.append("moves\n")
+    for a, X, b in orbit.moves:
+        out.append(f"{a} {X} {b}\n")
+    return "".join(out)

@@ -88,6 +88,11 @@ def pivot_pair_right() -> Matrix:
     )
 
 
+def loopless(G: Matrix) -> Matrix:
+    """G with every loop removed."""
+    return Matrix(GF2, G.domain, tuple(r & ~(1 << i) for i, r in enumerate(G.rows)))
+
+
 def path_graph(n: int) -> Matrix:
     """The loopless path v00 - v01 - ... on n vertices."""
     labels = [f"v{i:02d}" for i in range(n)]

@@ -9,11 +9,13 @@ import pytest
 
 import pivotpoly
 from pivotpoly import circuits, cli, interlace
+import pivotpoly.graphs as graphs_module
 from pivotpoly.cli import main
 from pivotpoly.formats import (
     FormatError,
     format_graph,
     format_matrix,
+    format_orbit_blocks,
     format_partition_sequence,
     parse_graph,
     parse_matrix,
@@ -27,8 +29,8 @@ from pivotpoly.randgen import (
 from pivotpoly.setsystems import partition_sequence_of, subset_nullities
 from pivotpoly import GF2, RATIONAL, Matrix, SubsetMask, graph_from_edges
 
-from oracles import partition_listing_by_mask
-from samples import path_graph, pivot_pair_left
+from oracles import graph_text_entrywise, orbit_text_by_objects, partition_listing_by_mask
+from samples import loopless, path_graph, pivot_pair_left
 
 MATRIX_Q = """\
 field q
@@ -265,21 +267,94 @@ def test_distribution_command(capsys):
     assert out[2] == "match"
 
 
+ORBIT_SEED_STDOUT = """\
+orbit size 5
+graph 0
+graph
+p q r
+p r
+q q
+q r
+graph 1
+graph
+p q r
+p r
+q q
+q r
+r r
+graph 2
+graph
+p q r
+p q
+p r
+q q
+graph 3
+graph
+p q r
+p p
+p q
+p r
+q q
+graph 4
+graph
+p q r
+p p
+p q
+p r
+q r
+r r
+moves
+0 {q} 1
+0 {p,r} 2
+1 {r} 4
+2 {q} 3
+3 {p} 4
+"""
+
+
 def test_orbit_command(tmp_path, capsys):
     path = tmp_path / "seed.graph"
     path.write_text(ORBIT_SEED)
     assert main(["orbit", "--graph", str(path)]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == "orbit size 5"
-    moves = out[out.index("moves") + 1 :]
-    assert len(moves) == 5
-    assert "0 {q} 1" in moves and "0 {p,r} 2" in moves
+    captured = capsys.readouterr()
+    assert captured.out == ORBIT_SEED_STDOUT
+    assert captured.err == ""
 
 
 def test_orbit_command_overflow(tmp_path, capsys):
     path = tmp_path / "seed.graph"
     path.write_text(ORBIT_SEED)
     assert main(["orbit", "--graph", str(path), "--max-graphs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pivot orbit exceeds 2 graphs\n"
+
+
+def orbit_writer_cases():
+    yield parse_graph(ORBIT_SEED)
+    yield graph_from_edges(["u"], [])
+    yield graph_from_edges(["u"], [("u", "u")])
+    # Isolated looped vertices: G*{z} = G, so the orbit has aliased subsets.
+    yield graph_from_edges(["p", "q", "r", "z"], [("p", "q"), ("p", "r"), ("q", "q"), ("z", "z")])
+    yield graph_from_edges(["p", "q", "y", "z"], [("p", "q"), ("y", "y"), ("z", "z")])
+    rng = random.Random(53)
+    mixed = ["a", "b10", "b9", "c", "c100", "c11"]
+    for _ in range(10):
+        edges = [
+            (u, v) for i, u in enumerate(mixed) for v in mixed[i:] if rng.random() < 0.4
+        ]
+        yield graph_from_edges(mixed, edges)
+    for k in range(120):
+        G = random_graph(rng, rng.randint(1, 10))
+        yield loopless(G) if k % 2 else G
+
+
+def test_orbit_writer_matches_the_object_printer():
+    for G in orbit_writer_cases():
+        expected = orbit_text_by_objects(graphs_module.pivot_orbit(G))
+        rows, moves = graphs_module._orbit_search(G, 10**6)
+        assert "".join(format_orbit_blocks(G.domain, rows, moves)) == expected
+        assert format_graph(G) == graph_text_entrywise(G)
 
 
 @pytest.mark.parametrize(
@@ -394,14 +469,38 @@ def test_exit_code_for_bad_file(tmp_path, capsys):
     assert main(["nullity", "--matrix", str(tmp_path / "missing.mat")]) == 2
 
 
-def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+def _cli_env() -> dict:
     src = str(Path(pivotpoly.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "pivotpoly", *argv],
-        capture_output=True, text=True, env=env, timeout=20,
+        capture_output=True, text=True, env=_cli_env(), timeout=20,
     )
+
+
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    # The orbit of a 16-vertex path prints 686 KB, far past what the pipe
+    # buffers, so the writer is still writing when the reader goes away.
+    path = tmp_path / "path16.graph"
+    path.write_text(format_graph(path_graph(16)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pivotpoly", "orbit", "--graph", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert first == b"orbit size 1597\n"
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_sweeps_past_the_enumeration_cap_fail_fast(tmp_path):

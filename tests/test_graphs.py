@@ -23,6 +23,8 @@ from pivotpoly import (
 )
 import pivotpoly.graphs as graphs_module
 import pivotpoly.interlace as interlace_module
+from pivotpoly.cli import main
+from pivotpoly.formats import format_graph
 from pivotpoly.graphs import require_graph
 from pivotpoly.interlace import interlace_recursive
 from pivotpoly.randgen import random_graph
@@ -31,6 +33,8 @@ import oracles
 from samples import (
     SMALL_ORBIT_MOVES,
     all_graphs,
+    loopless,
+    path_graph,
     pivot_pair_left,
     pivot_pair_right,
     small_orbit_graphs,
@@ -283,10 +287,6 @@ def test_orbit_cap_below_one_is_rejected(G, cap):
         pivot_orbit(G, max_graphs=cap)
 
 
-def loopless(G):
-    return Matrix(GF2, G.domain, tuple(r & ~(1 << i) for i, r in enumerate(G.rows)))
-
-
 def random_graphs_both_kinds(seed, count, max_n):
     rng = random.Random(seed)
     for k in range(count):
@@ -294,8 +294,23 @@ def random_graphs_both_kinds(seed, count, max_n):
         yield loopless(G) if k % 2 else G
 
 
+def with_isolated_loops(G, count):
+    """G plus ``count`` isolated looped vertices, each of which aliases
+    every pivot subset X with X + {z}."""
+    extra = [f"z{k}" for k in range(count)]
+    return graph_from_edges(
+        G.domain + tuple(extra), list(edges_of(G)) + [(z, z) for z in extra]
+    )
+
+
+def orbit_test_graphs():
+    yield from random_graphs_both_kinds(29, 60, 7)
+    for k, G in enumerate(random_graphs_both_kinds(47, 20, 6)):
+        yield with_isolated_loops(G, 1 + k % 3)
+
+
 def test_orbit_equals_pivots_on_the_set_system():
-    for G in random_graphs_both_kinds(29, 60, 7):
+    for G in orbit_test_graphs():
         orbit = pivot_orbit(G)
         expected = {
             pivot(G, SubsetMask(G.domain, bits)) for bits in set_system_of(G).members
@@ -316,6 +331,7 @@ def test_orbit_equals_pivots_on_the_set_system():
                 brute.add((min(a, b), P, max(a, b)))
         assert set(orbit.moves) == brute
         assert len(orbit.moves) == len(brute)
+        assert len(set(orbit.moves)) == len(orbit.moves)
 
 
 def test_orbit_pivots_once_per_reached_subset(monkeypatch):
@@ -363,9 +379,10 @@ def test_elementary_pivots_match_brute_force_listing():
 # --- validation at the boundary ---------------------------------------------------------
 
 def count_checks_and_builds(monkeypatch):
-    counts = {"checks": 0, "matrices": 0}
+    counts = {"checks": 0, "matrices": 0, "masks": 0}
     real_check = graphs_module.require_graph
     real_init = Matrix.__post_init__
+    real_mask_init = SubsetMask.__post_init__
 
     def counting_check(G):
         counts["checks"] += 1
@@ -375,9 +392,14 @@ def count_checks_and_builds(monkeypatch):
         counts["matrices"] += 1
         real_init(self)
 
+    def counting_mask_init(self):
+        counts["masks"] += 1
+        real_mask_init(self)
+
     for module in (graphs_module, interlace_module):
         monkeypatch.setattr(module, "require_graph", counting_check)
     monkeypatch.setattr(Matrix, "__post_init__", counting_init)
+    monkeypatch.setattr(SubsetMask, "__post_init__", counting_mask_init)
     return counts
 
 
@@ -386,7 +408,7 @@ def test_recursion_checks_its_graph_once_and_builds_no_matrix(monkeypatch):
     assert any(G.rows)
     counts = count_checks_and_builds(monkeypatch)
     interlace_recursive(G)
-    assert counts == {"checks": 1, "matrices": 0}
+    assert counts == {"checks": 1, "matrices": 0, "masks": 0}
 
 
 def test_orbit_builds_one_matrix_per_orbit_graph(monkeypatch):
@@ -394,7 +416,26 @@ def test_orbit_builds_one_matrix_per_orbit_graph(monkeypatch):
     counts = count_checks_and_builds(monkeypatch)
     orbit = pivot_orbit(G)
     assert len(orbit.graphs) > 2
-    assert counts == {"checks": 1, "matrices": len(orbit.graphs)}
+    assert counts == {
+        "checks": 1, "matrices": len(orbit.graphs), "masks": len(orbit.moves)
+    }
+
+
+def test_orbit_command_builds_no_per_graph_objects(tmp_path, monkeypatch, capsys):
+    # The CLI prints from packed rows: what it builds is the parsed input,
+    # the same for an orbit of 5 graphs as for one of 89.
+    path = tmp_path / "orbit.graph"
+    counts = count_checks_and_builds(monkeypatch)
+    seen = []
+    for G in (small_orbit_graphs()[0], path_graph(10)):
+        path.write_text(format_graph(G))
+        counts.update(checks=0, matrices=0, masks=0)
+        assert main(["orbit", "--graph", str(path)]) == 0
+        seen.append((capsys.readouterr().out.split("\n", 1)[0], dict(counts)))
+    (small, first), (large, second) = seen
+    assert (small, large) == ("orbit size 5", "orbit size 89")
+    assert first == second
+    assert first["checks"] == 1 and first["masks"] == 0
 
 
 # --- reconstruction ------------------------------------------------------------------------
