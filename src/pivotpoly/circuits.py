@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .matrix import GF2, Matrix, SubsetMask, check_labels, nullity_by_bits
-from .setsystems import ENUMERATION_CAP
+from .setsystems import _class_sizes, check_enumeration_cap
 
 __all__ = [
     "TwoInTwoOutDigraph",
@@ -206,10 +206,7 @@ def walk_counts(s: Sequence[str]) -> list[int]:
     s = check_double_occurrence(s)
     domain = dos_domain(s)
     n = len(domain)
-    if n > ENUMERATION_CAP:
-        raise ValueError(
-            f"alphabet size {n} exceeds the subset enumeration cap {ENUMERATION_CAP}"
-        )
+    check_enumeration_cap(n, "alphabet size")
     arcs = list(zip(*_arc_tables(s, domain)))
     L = len(s)
     counts = []
@@ -238,7 +235,7 @@ def walk_distribution(s: Sequence[str]) -> tuple[int, ...]:
     """
     counts = walk_counts(s)
     n = len(counts).bit_length() - 1  # one count per subset of n letters
-    return tuple(counts.count(i + 1) for i in range(n + 1))
+    return _class_sizes(counts, n + 1)[1:]  # walk counts run 1..n+1
 
 
 def count_euler_circuits(d: TwoInTwoOutDigraph) -> int:
@@ -249,11 +246,7 @@ def count_euler_circuits(d: TwoInTwoOutDigraph) -> int:
     can branch at every vertex, so the vertex count is held to the subset
     enumeration cap.
     """
-    n = len(d.vertices)
-    if n > ENUMERATION_CAP:
-        raise ValueError(
-            f"vertex count {n} exceeds the subset enumeration cap {ENUMERATION_CAP}"
-        )
+    check_enumeration_cap(len(d.vertices), "vertex count")
     L = len(d.arcs)
     if L == 0:
         return 0

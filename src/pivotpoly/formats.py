@@ -21,7 +21,8 @@ from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
-from .matrix import GF2, RATIONAL, Matrix
+from .graphs import graph_from_edges, require_graph
+from .matrix import GF2, RATIONAL, Matrix, check_labels, mask_items
 from .setsystems import PartitionSequence
 
 __all__ = [
@@ -102,34 +103,30 @@ def parse_graph(text: str) -> Matrix:
         raise FormatError("first line of a graph file must be 'graph'")
     if len(lines) < 2:
         raise FormatError("missing label line")
-    labels = lines[1].split()
     try:
-        A = Matrix.zeros(GF2, labels)
+        return graph_from_edges(check_labels(lines[1].split()), _edge_pairs(lines[2:]))
     except ValueError as e:
         raise FormatError(str(e)) from None
-    rows = list(A.rows)
+
+
+def _edge_pairs(lines):
+    """Yield each edge line's label pair, checking the line's shape and
+    that it names a new edge; errors come in line order."""
     seen = set()
-    for line in lines[2:]:
+    for line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"edge line must name two labels, got {line!r}")
         u, v = parts
-        try:
-            i, j = A.index_of(u), A.index_of(v)
-        except ValueError as e:
-            raise FormatError(str(e)) from None
-        key = (min(i, j), max(i, j))
+        key = (u, v) if u <= v else (v, u)
         if key in seen:
             raise FormatError(f"duplicate edge {u} {v}")
         seen.add(key)
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return Matrix(GF2, A.domain, tuple(rows))
+        yield u, v
 
 
 def format_graph(G: Matrix) -> str:
-    if G.field != GF2:
-        raise ValueError("graph format applies to GF(2) matrices")
+    require_graph(G)
     return next(_graph_blocks(G.domain, (G.rows,)))
 
 
@@ -176,17 +173,9 @@ def format_orbit_blocks(domain, graphs, moves):
         for _, b, part in group:
             name = names.get(part)
             if name is None:
-                name = names[part] = "{" + ",".join(_labels_of(domain, part)) + "}"
+                name = names[part] = "{" + ",".join(mask_items(domain, part)) + "}"
             lines.append(f"{a} {name} {b}\n")
         yield "".join(lines)
-
-
-def _labels_of(domain, bits: int):
-    """The labels of a mask, by increasing bit."""
-    while bits:
-        low = bits & -bits
-        yield domain[low.bit_length() - 1]
-        bits ^= low
 
 
 def format_norm(counts) -> str:

@@ -39,13 +39,15 @@ class OrbitOverflowError(RuntimeError):
 
 
 def graph_from_edges(labels, edges) -> Matrix:
-    """Build a graph from (u, v) pairs; a pair (u, u) is a loop."""
+    """Build a graph from (u, v) pairs, read in order; a pair (u, u) is a loop."""
     domain = tuple(sorted(set(labels)))
-    A = Matrix.zeros(GF2, domain)
-    rows = list(A.rows)
+    position = {lab: i for i, lab in enumerate(domain)}
+    rows = [0] * len(domain)
     for u, v in edges:
-        i = A.index_of(u)
-        j = A.index_of(v)
+        try:
+            i, j = position[u], position[v]
+        except KeyError as e:
+            raise ValueError(f"label {e.args[0]!r} not in matrix domain") from None
         rows[i] |= 1 << j
         rows[j] |= 1 << i
     return Matrix(GF2, domain, tuple(rows))

@@ -31,6 +31,7 @@ __all__ = [
     "SubsetMask",
     "Matrix",
     "check_labels",
+    "mask_items",
     "principal_submatrix",
     "delete_label",
     "transpose",
@@ -82,6 +83,14 @@ def _reject_floats(values: Iterable) -> None:
             raise ValueError(f"float entry {e!r} is not exact: give an int or a Fraction")
 
 
+def mask_items(domain: Sequence, bits: int):
+    """Yield ``domain[i]`` for each set bit i of a mask, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield domain[low.bit_length() - 1]
+        bits ^= low
+
+
 @dataclass(frozen=True)
 class SubsetMask:
     """A subset of a sorted label domain, stored as a bitmask.
@@ -118,23 +127,10 @@ class SubsetMask:
         return cls(domain, bits)
 
     def labels(self) -> tuple[str, ...]:
-        domain = self.domain
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(domain[low.bit_length() - 1])
-            b ^= low
-        return tuple(out)
+        return tuple(mask_items(self.domain, self.bits))
 
     def indices(self) -> tuple[int, ...]:
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return tuple(out)
+        return tuple(mask_items(range(len(self.domain)), self.bits))
 
     def complement(self) -> "SubsetMask":
         return SubsetMask(self.domain, self.bits ^ ((1 << len(self.domain)) - 1))

@@ -23,6 +23,7 @@ from .matrix import (
 __all__ = [
     "ENUMERATION_CAP",
     "RECURSION_MEMO_CAP",
+    "check_enumeration_cap",
     "SetSystem",
     "PartitionSequence",
     "subset_nullities",
@@ -116,20 +117,20 @@ def subset_nullities(A: Matrix) -> list[int]:
     test (see :func:`~pivotpoly.matrix.f2_subset_nullities`), not an
     elimination.
     """
-    _check_enumeration_cap(A)
+    check_enumeration_cap(A.n)
     if A.field == GF2:
         return f2_subset_nullities(A.rows)
     return q_subset_nullities(A.rows)
 
 
-def _check_enumeration_cap(A: Matrix) -> None:
-    if A.n > ENUMERATION_CAP:
-        raise ValueError(
-            f"domain size {A.n} exceeds the subset enumeration cap {ENUMERATION_CAP}"
-        )
+def check_enumeration_cap(n: int, what: str = "domain size") -> None:
+    """Refuse to enumerate the 2^n subsets of more than ``ENUMERATION_CAP`` items."""
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"{what} {n} exceeds the subset enumeration cap {ENUMERATION_CAP}")
 
 
 def _class_sizes(nullities, n: int) -> tuple[int, ...]:
+    """How many of the values 0..n fall in each class."""
     counts = [0] * (n + 1)
     for k in nullities:
         counts[k] += 1
@@ -143,7 +144,7 @@ def nullity_histogram(A: Matrix) -> tuple[int, ...]:
     builds no mask-indexed list (see
     :func:`~pivotpoly.matrix.f2_nullity_histogram`).
     """
-    _check_enumeration_cap(A)
+    check_enumeration_cap(A.n)
     if A.field == GF2:
         return f2_nullity_histogram(A.rows)
     return _class_sizes(q_subset_nullities(A.rows), A.n)

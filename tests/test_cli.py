@@ -10,6 +10,7 @@ import pytest
 import pivotpoly
 from pivotpoly import circuits, cli, interlace
 import pivotpoly.graphs as graphs_module
+import pivotpoly.setsystems as setsystems_module
 from pivotpoly.cli import main
 from pivotpoly.formats import (
     FormatError,
@@ -26,7 +27,7 @@ from pivotpoly.randgen import (
     random_valid_pivot_subset,
     valid_pivot_subset_from,
 )
-from pivotpoly.setsystems import partition_sequence_of, subset_nullities
+from pivotpoly.setsystems import partition_sequence_of, set_system_of, subset_nullities
 from pivotpoly import GF2, RATIONAL, Matrix, SubsetMask, graph_from_edges
 
 from oracles import graph_text_entrywise, orbit_text_by_objects, partition_listing_by_mask
@@ -134,6 +135,37 @@ def test_graph_format_round_trip_random():
 def test_graph_parse_errors(text):
     with pytest.raises(FormatError):
         parse_graph(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("graph\na b a\n", "duplicate labels in domain"),
+        ("graph\na b\na c\n", "label 'c' not in matrix domain"),
+        ("graph\na b\nc a\n", "label 'c' not in matrix domain"),
+        ("graph\na b\na b\nb a\n", "duplicate edge b a"),
+        ("graph\na b\na a\na a\n", "duplicate edge a a"),
+        ("graph\na b\na\n", "edge line must name two labels, got 'a'"),
+        # With several faults, the first line at fault decides.
+        ("graph\na b\na c\na\n", "label 'c' not in matrix domain"),
+        ("graph\na b\na\na c\n", "edge line must name two labels, got 'a'"),
+        ("graph\na b\na b\nb a\nc d\n", "duplicate edge b a"),
+        ("graph\na b\nc a\na b\nb a\n", "label 'c' not in matrix domain"),
+    ],
+)
+def test_graph_parse_error_messages_come_in_line_order(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == message
+
+
+def test_format_graph_rejects_a_non_symmetric_matrix():
+    # Printed as a graph, the one edge would parse back as a symmetric pair.
+    A = Matrix.from_entries(GF2, ["a", "b"], [[0, 0], [1, 0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        format_graph(A)
+    with pytest.raises(ValueError, match="GF\\(2\\)"):
+        format_graph(Matrix.zeros(RATIONAL, ["a"]))
 
 
 def test_partition_sequence_listing_matches_oracle():
@@ -430,6 +462,47 @@ def test_shared_sweep_draws_the_same_pivot_subset(field):
         assert rng.getstate() == after
 
 
+def test_rational_recursion_trial_sweeps_once_and_draws_as_before(monkeypatch, capsys):
+    # The draws of the trial that swept A a second time for its pivot
+    # subset: X from the sorted nonempty members of A's set system, then u
+    # from X's labels.
+    rng = random.Random(42)
+    expected = []
+    for _ in range(80):
+        A = random_matrix(rng, RATIONAL, rng.randint(1, 8))
+        members = sorted(m for m in set_system_of(A).members if m)
+        if members:
+            X = SubsetMask(A.domain, rng.choice(members))
+            expected.append((A, X, rng.choice(X.labels())))
+    sweeps, pivots, deleted = [], [], []
+    sweep, pivot, delete = setsystems_module.q_subset_nullities, cli.pivot, cli.delete_label
+
+    def counting_sweep(rows):
+        sweeps.append(len(rows))
+        return sweep(rows)
+
+    def recording_pivot(A, X):
+        pivots.append((A, X))
+        return pivot(A, X)
+
+    def recording_delete(A, u):
+        deleted.append(u)
+        return delete(A, u)
+
+    monkeypatch.setattr(setsystems_module, "q_subset_nullities", counting_sweep)
+    monkeypatch.setattr(cli, "pivot", recording_pivot)
+    monkeypatch.setattr(cli, "delete_label", recording_delete)
+    argv = ["verify", "--prop", "recursion", "--field", "q", "--trials", "80", "--size", "8", "--seed", "42"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "80/80 pass\n"
+    assert pivots == [(A, X) for A, X, _ in expected]
+    assert deleted == [u for _, _, u in expected for _ in "AB"]
+    # One sweep of A per trial, and one of A - u and of A*X - u per drawn X:
+    # 236, where sweeping A again for q(A) made it 314.
+    assert len(expected) == 78
+    assert len(sweeps) == 80 + 2 * 78
+
+
 def test_cohn_lempel_over_q_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--prop", "cohn-lempel", "--trials", "3", "--field", "q"])
@@ -562,6 +635,7 @@ def test_usage_error_exits_two():
         (["verify", "--prop", "tucker", "--size", "0"], "--size", "must be at least 1"),
         (["verify", "--prop", "tucker", "--trials", "x"], "--trials", "invalid int value"),
         (["orbit", "--graph", "g", "--max-graphs", "0"], "--max-graphs", "must be at least 1"),
+        (["verify", "--prop", "tucker", "--size", "25"], "--size", "must be at most 24"),
     ],
 )
 def test_count_flags_below_one_are_usage_errors(argv, flag, message, capsys):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pivotpoly
 from pivotpoly import (
     GF2,
     RATIONAL,
@@ -509,3 +512,31 @@ def test_mat_vec_both_fields():
     assert mat_vec(G, ones) == [(G.rows[i].bit_count()) & 1 for i in range(4)]
     with pytest.raises(ValueError):
         mat_vec(A, [1, 2])
+
+
+def test_values_survive_pickle_and_copy():
+    # Values are shared across processes by pickling; each of the eight
+    # value types must come back equal and with the same hash.
+    A = sample_rational_matrix()
+    G = pivot_pair_left()
+    s = pivotpoly.parse_dos("146543625123")
+    X = SubsetMask.of(sorted(set(s)), ["3", "4", "5", "6"])
+    values = [
+        X,
+        A,
+        G,
+        pivotpoly.set_system_of(G),
+        pivotpoly.partition_sequence_of(A),
+        pivotpoly.pivot_orbit(G),
+        pivotpoly.interlace_polynomial(G),
+        pivotpoly.digraph_of(s),
+        pivotpoly.trace_partition(s, X),
+    ]
+    assert len({type(v) for v in values}) == 8
+    for v in values:
+        copies = [copy.copy(v), copy.deepcopy(v)]
+        copies += [pickle.loads(pickle.dumps(v, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies:
+            assert type(c) is type(v)
+            assert c == v
+            assert hash(c) == hash(v)
