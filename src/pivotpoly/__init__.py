@@ -6,135 +6,100 @@ enumeration and by recursion, and a closed-walk tracer on double occurrence
 strings that cross-checks all of it.
 """
 
-from .matrix import (
-    GF2,
-    RATIONAL,
-    Matrix,
-    PivotUndefinedError,
-    SingularMatrixError,
-    SubsetMask,
-    delete_label,
-    determinant,
-    identity_outside,
-    inverse,
-    mat_mul,
-    mat_vec,
-    nullity,
-    principal_submatrix,
-    rank,
-    transpose,
-)
-from .pivot import (
-    nullity_after_pivot,
-    pivot,
-    pivot_composition,
-    schur_complement,
-    tucker_determinant_check,
-    verify_partial_inverse,
-)
-from .setsystems import (
-    PartitionSequence,
-    SetSystem,
-    norm,
-    partition_sequence_of,
-    restrict,
-    set_system_of,
-    twist,
-)
-from .graphs import (
-    OrbitOverflowError,
-    PivotOrbit,
-    edge_complement,
-    edges_of,
-    elementary_decomposition,
-    elementary_pivots,
-    graph_from_edges,
-    graph_from_set_system,
-    local_complement,
-    pivot_orbit,
-)
-from .interlace import (
-    Poly,
-    interlace_from_nullity,
-    interlace_polynomial,
-    interlace_recursive,
-    nullity_from_interlace,
-    nullity_polynomial,
-    verify_recursion,
-)
-from .circuits import (
-    TwoInTwoOutDigraph,
-    WalkPartition,
-    cohn_lempel_check,
-    count_euler_circuits,
-    cyclic_equal,
-    digraph_of,
-    overlap_graph,
-    parse_dos,
-    trace_partition,
-    walk_distribution,
-    walk_labels,
-)
+# Every command needs the pivot, and ``pivotpoly.pivot`` must be the
+# function, not the submodule of the same name, so this import is eager.
+from .pivot import pivot
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GF2",
-    "RATIONAL",
-    "Matrix",
-    "SubsetMask",
-    "SingularMatrixError",
-    "PivotUndefinedError",
-    "principal_submatrix",
-    "delete_label",
-    "transpose",
-    "rank",
-    "nullity",
-    "determinant",
-    "inverse",
-    "identity_outside",
-    "mat_mul",
-    "mat_vec",
-    "pivot",
-    "schur_complement",
-    "verify_partial_inverse",
-    "nullity_after_pivot",
-    "tucker_determinant_check",
-    "pivot_composition",
-    "SetSystem",
-    "PartitionSequence",
-    "set_system_of",
-    "partition_sequence_of",
-    "twist",
-    "norm",
-    "restrict",
-    "graph_from_edges",
-    "edges_of",
-    "local_complement",
-    "edge_complement",
-    "elementary_pivots",
-    "elementary_decomposition",
-    "pivot_orbit",
-    "PivotOrbit",
-    "OrbitOverflowError",
-    "graph_from_set_system",
-    "Poly",
-    "nullity_polynomial",
-    "interlace_polynomial",
-    "interlace_from_nullity",
-    "nullity_from_interlace",
-    "interlace_recursive",
-    "verify_recursion",
-    "TwoInTwoOutDigraph",
-    "WalkPartition",
-    "parse_dos",
-    "overlap_graph",
-    "digraph_of",
-    "trace_partition",
-    "walk_labels",
-    "cohn_lempel_check",
-    "walk_distribution",
-    "count_euler_circuits",
-    "cyclic_equal",
-    "__version__",
-]
+# The public names of each submodule.  A name is imported on first access
+# (PEP 562), so a process loads only the modules it uses.
+_EXPORTS = {
+    "matrix": (
+        "GF2",
+        "RATIONAL",
+        "Matrix",
+        "SubsetMask",
+        "SingularMatrixError",
+        "PivotUndefinedError",
+        "principal_submatrix",
+        "delete_label",
+        "transpose",
+        "rank",
+        "nullity",
+        "determinant",
+        "inverse",
+        "identity_outside",
+        "mat_mul",
+        "mat_vec",
+    ),
+    "pivot": (
+        "pivot",
+        "schur_complement",
+        "verify_partial_inverse",
+        "nullity_after_pivot",
+        "tucker_determinant_check",
+        "pivot_composition",
+    ),
+    "setsystems": (
+        "SetSystem",
+        "PartitionSequence",
+        "set_system_of",
+        "partition_sequence_of",
+        "twist",
+        "norm",
+        "restrict",
+    ),
+    "graphs": (
+        "graph_from_edges",
+        "edges_of",
+        "local_complement",
+        "edge_complement",
+        "elementary_pivots",
+        "elementary_decomposition",
+        "pivot_orbit",
+        "PivotOrbit",
+        "OrbitOverflowError",
+        "graph_from_set_system",
+    ),
+    "interlace": (
+        "Poly",
+        "nullity_polynomial",
+        "interlace_polynomial",
+        "interlace_from_nullity",
+        "nullity_from_interlace",
+        "interlace_recursive",
+        "verify_recursion",
+    ),
+    "circuits": (
+        "TwoInTwoOutDigraph",
+        "WalkPartition",
+        "parse_dos",
+        "overlap_graph",
+        "digraph_of",
+        "trace_partition",
+        "walk_labels",
+        "cohn_lempel_check",
+        "walk_distribution",
+        "count_euler_circuits",
+        "cyclic_equal",
+    ),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import a public name from its submodule on first access."""
+    module = _HOMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -12,10 +12,9 @@ this tracer an independent oracle for the algebra.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
-from .matrix import GF2, Matrix, SubsetMask, check_labels, nullity_by_bits
+from .matrix import GF2, Matrix, SubsetMask, _Value, check_labels, nullity_by_bits
 from .setsystems import _class_sizes, check_enumeration_cap
 
 __all__ = [
@@ -92,16 +91,21 @@ def overlap_graph(s: Sequence[str]) -> Matrix:
     return Matrix(GF2, domain, tuple(rows))
 
 
-@dataclass(frozen=True)
-class TwoInTwoOutDigraph:
+class TwoInTwoOutDigraph(_Value):
     """A digraph where every vertex has two incoming and two outgoing arcs.
 
     Arcs are ordered pairs and may be parallel; their tuple position is the
     arc identity used by walk traces.
     """
 
+    __slots__ = ("vertices", "arcs")
     vertices: tuple[str, ...]
     arcs: tuple[tuple[str, str], ...]
+
+    def __init__(self, vertices: tuple[str, ...], arcs: tuple[tuple[str, str], ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arcs", arcs)
+        self.__post_init__()
 
     def __post_init__(self):
         outs = Counter(t for t, _ in self.arcs)
@@ -124,16 +128,20 @@ def digraph_of(s: Sequence[str]) -> TwoInTwoOutDigraph:
     return TwoInTwoOutDigraph(dos_domain(s), arcs)
 
 
-@dataclass(frozen=True)
-class WalkPartition:
+class WalkPartition(_Value):
     """Closed walks covering every arc exactly once.
 
     Each walk is a cyclic arc-index sequence rotated to start at its
     smallest arc; walks are listed in order of that starting arc.
     """
 
+    __slots__ = ("walks", "inducing_set")
     walks: tuple[tuple[int, ...], ...]
     inducing_set: SubsetMask
+
+    def __init__(self, walks: tuple[tuple[int, ...], ...], inducing_set: SubsetMask):
+        object.__setattr__(self, "walks", walks)
+        object.__setattr__(self, "inducing_set", inducing_set)
 
     def __len__(self) -> int:
         return len(self.walks)

@@ -13,7 +13,10 @@ import os
 import random
 import sys
 
-from . import circuits, graphs, interlace, randgen, setsystems
+# The modules every command needs.  The rest (setsystems, interlace,
+# circuits, randgen) are imported by the handlers that run them, so a
+# process loads only what its command uses.
+from . import graphs
 from .graphs import OrbitOverflowError
 from .formats import (
     FormatError,
@@ -80,6 +83,8 @@ def _at_least_one(arg: str) -> int:
 
 def _trial_size(arg: str) -> int:
     """Verify trials sweep all subsets, so the size is held to the enumeration cap."""
+    from . import setsystems
+
     value = _at_least_one(arg)
     if value > setsystems.ENUMERATION_CAP:
         raise argparse.ArgumentTypeError(f"must be at most {setsystems.ENUMERATION_CAP}, got {value}")
@@ -149,6 +154,8 @@ def _cmd_nullity(args) -> int:
 
 
 def _cmd_pseq(args) -> int:
+    from . import setsystems
+
     A = parse_matrix(_read(args.matrix))
     if args.norm_only:
         print(f"norm: {format_norm(setsystems.nullity_histogram(A))}")
@@ -158,6 +165,8 @@ def _cmd_pseq(args) -> int:
 
 
 def _cmd_interlace(args) -> int:
+    from . import interlace
+
     G = parse_graph(_read(args.graph))
     if args.method == "direct":
         qp = interlace.nullity_polynomial(G)
@@ -182,12 +191,16 @@ def _cmd_interlace(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
+    from . import circuits
+
     s = circuits.parse_dos(args.dos)
     print(format_graph(circuits.overlap_graph(s)), end="")
     return 0
 
 
 def _cmd_walks(args) -> int:
+    from . import circuits
+
     s = circuits.parse_dos(args.dos)
     domain = circuits.dos_domain(s)
     X = SubsetMask.of(domain, _split_labels(args.flip))
@@ -202,6 +215,8 @@ def _cmd_walks(args) -> int:
 
 
 def _cmd_distribution(args) -> int:
+    from . import circuits, setsystems
+
     s = circuits.parse_dos(args.dos)
     dist = circuits.walk_distribution(s)
     alg = setsystems.nullity_histogram(circuits.overlap_graph(s))
@@ -220,6 +235,8 @@ def _cmd_orbit(args) -> int:
 
 
 def _verify_trial(prop: str, rng: random.Random, size: int, field: str) -> bool:
+    from . import circuits, interlace, randgen, setsystems
+
     n = rng.randint(1, size)
     if prop == "cohn-lempel":
         s = randgen.random_dos(rng, n)

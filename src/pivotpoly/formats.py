@@ -22,8 +22,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .graphs import graph_from_edges, require_graph
-from .matrix import GF2, RATIONAL, Matrix, check_labels, mask_items
-from .setsystems import PartitionSequence
+from .matrix import GF2, RATIONAL, Matrix, mask_items
 
 __all__ = [
     "FormatError",
@@ -104,25 +103,19 @@ def parse_graph(text: str) -> Matrix:
     if len(lines) < 2:
         raise FormatError("missing label line")
     try:
-        return graph_from_edges(check_labels(lines[1].split()), _edge_pairs(lines[2:]))
+        return graph_from_edges(lines[1].split(), _edge_pairs(lines[2:]))
     except ValueError as e:
         raise FormatError(str(e)) from None
 
 
 def _edge_pairs(lines):
-    """Yield each edge line's label pair, checking the line's shape and
-    that it names a new edge; errors come in line order."""
-    seen = set()
+    """Yield each edge line's label pair, checking the line's shape; the
+    consumer checks the pair itself, so errors come in line order."""
     for line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"edge line must name two labels, got {line!r}")
-        u, v = parts
-        key = (u, v) if u <= v else (v, u)
-        if key in seen:
-            raise FormatError(f"duplicate edge {u} {v}")
-        seen.add(key)
-        yield u, v
+        yield parts[0], parts[1]
 
 
 def format_graph(G: Matrix) -> str:

@@ -9,15 +9,15 @@ entrywise with the matrix pivot on the same subset.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .matrix import (
     GF2,
     Matrix,
     PivotUndefinedError,
     SubsetMask,
+    _Value,
+    check_labels,
 )
-from .setsystems import SetSystem
 
 __all__ = [
     "OrbitOverflowError",
@@ -39,8 +39,12 @@ class OrbitOverflowError(RuntimeError):
 
 
 def graph_from_edges(labels, edges) -> Matrix:
-    """Build a graph from (u, v) pairs, read in order; a pair (u, u) is a loop."""
-    domain = tuple(sorted(set(labels)))
+    """Build a graph from (u, v) pairs, read in order; a pair (u, u) is a loop.
+
+    The labels are checked before any pair is read, and each pair must name
+    an edge not given before, in either order.
+    """
+    domain = tuple(sorted(check_labels(labels)))
     position = {lab: i for i, lab in enumerate(domain)}
     rows = [0] * len(domain)
     for u, v in edges:
@@ -48,6 +52,8 @@ def graph_from_edges(labels, edges) -> Matrix:
             i, j = position[u], position[v]
         except KeyError as e:
             raise ValueError(f"label {e.args[0]!r} not in matrix domain") from None
+        if rows[i] >> j & 1:
+            raise ValueError(f"duplicate edge {u} {v}")
         rows[i] |= 1 << j
         rows[j] |= 1 << i
     return Matrix(GF2, domain, tuple(rows))
@@ -191,8 +197,7 @@ def elementary_decomposition(G: Matrix, Y: SubsetMask) -> list[SubsetMask]:
     return parts
 
 
-@dataclass(frozen=True)
-class PivotOrbit:
+class PivotOrbit(_Value):
     """Closure of a graph under pivot, with the elementary moves that connect it.
 
     ``graphs`` is ordered canonically by adjacency rows; each move is a
@@ -200,8 +205,13 @@ class PivotOrbit:
     once per unordered pair.
     """
 
+    __slots__ = ("graphs", "moves")
     graphs: tuple[Matrix, ...]
     moves: tuple[tuple[int, SubsetMask, int], ...]
+
+    def __init__(self, graphs: tuple[Matrix, ...], moves: tuple[tuple[int, SubsetMask, int], ...]):
+        object.__setattr__(self, "graphs", graphs)
+        object.__setattr__(self, "moves", moves)
 
 
 def pivot_orbit(G: Matrix, max_graphs: int = 10**6) -> PivotOrbit:

@@ -11,12 +11,11 @@ independent second method.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
 from operator import add
-from typing import Sequence
 
 from .graphs import _elementary_parts, _elementary_pivot_rows, require_graph
-from .matrix import Matrix, SubsetMask, delete_label
+from .matrix import Matrix, SubsetMask, _Value, delete_label
 from .pivot import pivot
 from .setsystems import RECURSION_MEMO_CAP, nullity_histogram
 
@@ -31,15 +30,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(_Value):
     """A single-variable polynomial with arbitrary-precision integer coefficients.
 
     ``coeffs[i]`` is the coefficient of y^i; trailing zeros are trimmed, so
     the zero polynomial has an empty tuple.
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         if any(not isinstance(c, int) for c in self.coeffs):

@@ -15,10 +15,9 @@ a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Sequence
 
 GF2 = "f2"
 RATIONAL = "q"
@@ -83,6 +82,59 @@ def _reject_floats(values: Iterable) -> None:
             raise ValueError(f"float entry {e!r} is not exact: give an int or a Fraction")
 
 
+class _Value:
+    """Base of the immutable value types: fields live in ``__slots__``.
+
+    Each subclass names its fields in ``__slots__`` and writes an
+    ``__init__`` that sets them with ``object.__setattr__`` and then calls
+    its ``__post_init__`` check, if it has one.  Values compare and hash as
+    the tuple of their fields, print like the frozen dataclasses they
+    replace, and pickle and copy by calling the class on their fields
+    again.  ``__eq__`` and ``__hash__`` are compiled per subclass with the
+    field names spelled out: a generic version that reads the fields
+    through ``operator.attrgetter`` made ``==`` on ``SubsetMask`` about
+    twice as slow.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = cls.__match_args__ = cls.__slots__
+        mine = "(" + "".join(f"self.{f}, " for f in fields) + ")"
+        theirs = mine.replace("self.", "other.")
+        namespace: dict = {}
+        exec(
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return {mine} == {theirs}\n"
+            "    return NotImplemented\n"
+            "def __hash__(self):\n"
+            f"    return hash({mine})\n",
+            namespace,
+        )
+        cls.__eq__ = namespace["__eq__"]
+        cls.__hash__ = namespace["__hash__"]
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+
+# Bound once: ``pivot_orbit`` builds a Matrix per orbit graph and a
+# SubsetMask per move, and a global load is cheaper than looking
+# ``__setattr__`` up on ``object`` at every build.
+_set_field = object.__setattr__
+
+
 def mask_items(domain: Sequence, bits: int):
     """Yield ``domain[i]`` for each set bit i of a mask, lowest first."""
     while bits:
@@ -91,15 +143,20 @@ def mask_items(domain: Sequence, bits: int):
         bits ^= low
 
 
-@dataclass(frozen=True)
-class SubsetMask:
+class SubsetMask(_Value):
     """A subset of a sorted label domain, stored as a bitmask.
 
     Bit i corresponds to ``domain[i]``.  Symmetric difference is ``^``.
     """
 
+    __slots__ = ("domain", "bits")
     domain: tuple[str, ...]
     bits: int
+
+    def __init__(self, domain: tuple[str, ...], bits: int):
+        _set_field(self, "domain", domain)
+        _set_field(self, "bits", bits)
+        self.__post_init__()
 
     def __post_init__(self):
         if not 0 <= self.bits < (1 << len(self.domain)):
@@ -152,8 +209,7 @@ class SubsetMask:
         return "{" + ",".join(self.labels()) + "}"
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(_Value):
     """A square matrix over GF(2) or the rationals with a sorted label domain.
 
     ``rows`` is a tuple holding one packed int per label over GF(2), and
@@ -162,9 +218,16 @@ class Matrix:
     into the canonical sorted layout.
     """
 
+    __slots__ = ("field", "domain", "rows")
     field: str
     domain: tuple[str, ...]
     rows: tuple
+
+    def __init__(self, field: str, domain: tuple[str, ...], rows: tuple):
+        _set_field(self, "field", field)
+        _set_field(self, "domain", domain)
+        _set_field(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.field not in (GF2, RATIONAL):

@@ -9,7 +9,7 @@ same elimination on the full domain.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .matrix import (
     Matrix,

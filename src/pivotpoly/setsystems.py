@@ -9,12 +9,11 @@ sizes, which is what makes the norm vector a pivot invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .matrix import (
     GF2,
     Matrix,
     SubsetMask,
+    _Value,
     f2_nullity_histogram,
     f2_subset_nullities,
     q_subset_nullities,
@@ -55,12 +54,17 @@ ENUMERATION_CAP = 24
 RECURSION_MEMO_CAP = 1 << 22
 
 
-@dataclass(frozen=True)
-class SetSystem:
+class SetSystem(_Value):
     """A family of subsets of a common domain, stored as bitmasks."""
 
+    __slots__ = ("domain", "members")
     domain: tuple[str, ...]
     members: frozenset[int]
+
+    def __init__(self, domain: tuple[str, ...], members: frozenset[int]):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "members", members)
+        self.__post_init__()
 
     def __post_init__(self):
         limit = 1 << len(self.domain)
@@ -76,8 +80,7 @@ class SetSystem:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class PartitionSequence:
+class PartitionSequence(_Value):
     """The class index 0..n of every subset of the domain, indexed by mask.
 
     ``nullities[m]`` is the class of the subset with bitmask m; for the
@@ -86,8 +89,14 @@ class PartitionSequence:
     classes partition the full power set by construction.
     """
 
+    __slots__ = ("domain", "nullities")
     domain: tuple[str, ...]
     nullities: tuple[int, ...]
+
+    def __init__(self, domain: tuple[str, ...], nullities: tuple[int, ...]):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "nullities", nullities)
+        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.domain)

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import re
@@ -574,6 +575,72 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
     assert first == b"orbit size 1597\n"
     assert proc.returncode == 141
     assert err == b""
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Stdout of ``code`` run by a new interpreter without site hooks (-S),
+    so only what pivotpoly itself imports lands in ``sys.modules``."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_lazy_package_binds_the_same_names_as_an_eager_one():
+    facts = json.loads(_fresh_interpreter(
+        "import json, sys, types\n"
+        "import pivotpoly.interlace\n"
+        "from pivotpoly import pivot\n"
+        "star = {}\n"
+        "exec('from pivotpoly import *', star)\n"
+        "import pivotpoly\n"
+        "def missing(module):\n"
+        "    try:\n"
+        "        module.no_such_name\n"
+        "    except AttributeError as e:\n"
+        "        return str(e)\n"
+        "print(json.dumps({\n"
+        "    'pivot': f'{pivot.__module__}.{pivot.__qualname__}',\n"
+        "    'star': sorted(k for k in star if k != '__builtins__'),\n"
+        "    'same': star['Poly'] is sys.modules['pivotpoly.interlace'].Poly\n"
+        "            and star['pivot'] is pivot and star['Matrix'] is pivotpoly.Matrix,\n"
+        "    'all': pivotpoly.__all__,\n"
+        "    'dir': dir(pivotpoly),\n"
+        "    'missing': missing(pivotpoly),\n"
+        "    'standard': missing(types.ModuleType('pivotpoly')),\n"
+        "}))\n"
+    ))
+    # Importing the submodule pivotpoly.pivot again must not rebind the name.
+    assert facts["pivot"] == "pivotpoly.pivot.pivot"
+    assert len(facts["all"]) == 58 and "__version__" in facts["all"]
+    assert facts["star"] == sorted(facts["all"])
+    assert facts["same"]
+    assert set(facts["all"]) <= set(facts["dir"])
+    assert facts["missing"] == facts["standard"]
+    assert facts["missing"] == "module 'pivotpoly' has no attribute 'no_such_name'"
+
+
+def test_nullity_command_imports_only_what_it_runs(tmp_path):
+    path = tmp_path / "one.mat"
+    path.write_text("field f2\na\n1\n")
+    out = _fresh_interpreter(
+        "import sys\n"
+        "from pivotpoly import cli\n"
+        f"code = cli.main(['nullity', '--matrix', {str(path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'pivotpoly'),"
+        " 'dataclasses' in sys.modules)\n"
+    )
+    expected = [
+        "pivotpoly",
+        "pivotpoly.cli",
+        "pivotpoly.formats",
+        "pivotpoly.graphs",
+        "pivotpoly.matrix",
+        "pivotpoly.pivot",
+    ]
+    assert out == f"0\n0 {expected} False\n"
 
 
 def test_sweeps_past_the_enumeration_cap_fail_fast(tmp_path):

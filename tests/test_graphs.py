@@ -48,6 +48,34 @@ def test_graph_round_trip_through_edges():
     assert G.is_symmetric()
 
 
+def test_graph_from_edges_checks_its_labels_before_any_edge():
+    read = []
+
+    def edges():
+        read.append(("a", "b"))
+        yield "a", "b"
+
+    with pytest.raises(ValueError, match="^duplicate labels in domain$"):
+        graph_from_edges(["a", "a", "b"], edges())
+    assert read == []
+    with pytest.raises(ValueError, match="^invalid label 'a b'"):
+        graph_from_edges(["a b", "c"], edges())
+    assert read == []
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([("a", "b"), ("b", "a")], "duplicate edge b a"),
+        ([("a", "b"), ("a", "b")], "duplicate edge a b"),
+        ([("b", "b"), ("a", "b"), ("b", "b")], "duplicate edge b b"),
+    ],
+)
+def test_graph_from_edges_rejects_a_repeated_edge(edges, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        graph_from_edges(["a", "b"], edges)
+
+
 def test_require_graph_rejects_non_graphs():
     lopsided = Matrix.from_entries(GF2, ["a", "b"], [[0, 1], [0, 0]])
     with pytest.raises(ValueError):

@@ -13,15 +13,23 @@ from pivotpoly import (
     GF2,
     RATIONAL,
     Matrix,
+    PartitionSequence,
+    PivotOrbit,
+    Poly,
+    SetSystem,
     SingularMatrixError,
     SubsetMask,
+    TwoInTwoOutDigraph,
+    WalkPartition,
     delete_label,
     determinant,
+    graph_from_edges,
     identity_outside,
     inverse,
     mat_mul,
     mat_vec,
     nullity,
+    pivot_orbit,
     principal_submatrix,
     rank,
     schur_complement,
@@ -540,3 +548,88 @@ def test_values_survive_pickle_and_copy():
             assert type(c) is type(v)
             assert c == v
             assert hash(c) == hash(v)
+
+
+def _value_table():
+    """One small value of each of the eight value types: (build, repr text, field names).
+
+    ``build`` makes a new, equal value on every call."""
+    return [
+        (
+            lambda: SubsetMask(("a", "b", "c"), 5),
+            "SubsetMask(domain=('a', 'b', 'c'), bits=5)",
+            ("domain", "bits"),
+        ),
+        (
+            lambda: graph_from_edges(["b", "a"], [("a", "b"), ("b", "b")]),
+            "Matrix(field='f2', domain=('a', 'b'), rows=(2, 3))",
+            ("field", "domain", "rows"),
+        ),
+        (
+            lambda: Matrix.from_entries(RATIONAL, ["a", "b"], [[1, Fraction(1, 2)], [0, -3]]),
+            "Matrix(field='q', domain=('a', 'b'), rows=((Fraction(1, 1), Fraction(1, 2)),"
+            " (Fraction(0, 1), Fraction(-3, 1))))",
+            ("field", "domain", "rows"),
+        ),
+        (
+            lambda: SetSystem(("a", "b"), frozenset({0, 3})),
+            "SetSystem(domain=('a', 'b'), members=frozenset({0, 3}))",
+            ("domain", "members"),
+        ),
+        (
+            lambda: PartitionSequence(("a",), (0, 1)),
+            "PartitionSequence(domain=('a',), nullities=(0, 1))",
+            ("domain", "nullities"),
+        ),
+        (
+            lambda: Poly((1, 0, 2)),
+            "Poly(coeffs=(1, 0, 2))",
+            ("coeffs",),
+        ),
+        (
+            lambda: pivot_orbit(graph_from_edges(["a", "b"], [("a", "b")])),
+            "PivotOrbit(graphs=(Matrix(field='f2', domain=('a', 'b'), rows=(2, 1)),),"
+            " moves=((0, SubsetMask(domain=('a', 'b'), bits=3), 0),))",
+            ("graphs", "moves"),
+        ),
+        (
+            lambda: TwoInTwoOutDigraph(
+                ("1", "2"), (("1", "2"), ("2", "2"), ("2", "1"), ("1", "1"))
+            ),
+            "TwoInTwoOutDigraph(vertices=('1', '2'), arcs=(('1', '2'), ('2', '2'), ('2', '1'),"
+            " ('1', '1')))",
+            ("vertices", "arcs"),
+        ),
+        (
+            lambda: WalkPartition(((0, 1, 2), (3,)), SubsetMask(("1", "2"), 1)),
+            "WalkPartition(walks=((0, 1, 2), (3,)), inducing_set=SubsetMask(domain=('1', '2'),"
+            " bits=1))",
+            ("walks", "inducing_set"),
+        ),
+    ]
+
+
+def test_value_contract_of_the_eight_value_types():
+    table = _value_table()
+    assert len({type(build()) for build, _, _ in table}) == 8
+    values = []
+    for build, text, fields in table:
+        a, b = build(), build()
+        assert a is not b
+        assert repr(a) == text
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert type(a).__match_args__ == fields
+        by_keyword = type(a)(**{f: getattr(a, f) for f in fields})
+        assert by_keyword == a and hash(by_keyword) == hash(a)
+        for name in (fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a == b and getattr(a, fields[0]) == getattr(b, fields[0])
+        assert a != tuple(getattr(a, f) for f in fields)
+        values.append(a)
+    for i, a in enumerate(values):
+        for b in values[i + 1 :]:
+            assert a != b and b != a
