@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Sequence
 
-from .matrix import GF2, Matrix, SubsetMask, _Value, check_labels, nullity_by_bits
-from .setsystems import _class_sizes, check_enumeration_cap
+from .matrix import GF2, Matrix, SubsetMask, _class_sizes, _Value, check_labels, nullity_by_bits
+from .setsystems import check_enumeration_cap
 
 __all__ = [
     "TwoInTwoOutDigraph",
@@ -102,11 +102,6 @@ class TwoInTwoOutDigraph(_Value):
     vertices: tuple[str, ...]
     arcs: tuple[tuple[str, str], ...]
 
-    def __init__(self, vertices: tuple[str, ...], arcs: tuple[tuple[str, str], ...]):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "arcs", arcs)
-        self.__post_init__()
-
     def __post_init__(self):
         outs = Counter(t for t, _ in self.arcs)
         ins = Counter(h for _, h in self.arcs)
@@ -138,10 +133,6 @@ class WalkPartition(_Value):
     __slots__ = ("walks", "inducing_set")
     walks: tuple[tuple[int, ...], ...]
     inducing_set: SubsetMask
-
-    def __init__(self, walks: tuple[tuple[int, ...], ...], inducing_set: SubsetMask):
-        object.__setattr__(self, "walks", walks)
-        object.__setattr__(self, "inducing_set", inducing_set)
 
     def __len__(self) -> int:
         return len(self.walks)

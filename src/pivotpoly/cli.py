@@ -33,6 +33,7 @@ from .matrix import (
     RATIONAL,
     SingularMatrixError,
     SubsetMask,
+    _class_sizes,
     delete_label,
     nullity,
     principal_submatrix,
@@ -257,7 +258,7 @@ def _verify_trial(prop: str, rng: random.Random, size: int, field: str) -> bool:
         # q(A) = q(A - u) + q(A*X - u), with q(A) read off the sweep that drew X.
         q = interlace.interlace_polynomial
         total = q(delete_label(A, u)) + q(delete_label(pivot(A, X), u))
-        direct = interlace.Poly.of(setsystems._class_sizes(nullities, n))
+        direct = interlace.Poly.of(_class_sizes(nullities, n))
         return total == interlace.interlace_from_nullity(direct)
     A = randgen.random_matrix(rng, field, n)
     before = setsystems.subset_nullities(A)

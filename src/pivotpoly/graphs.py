@@ -209,10 +209,6 @@ class PivotOrbit(_Value):
     graphs: tuple[Matrix, ...]
     moves: tuple[tuple[int, SubsetMask, int], ...]
 
-    def __init__(self, graphs: tuple[Matrix, ...], moves: tuple[tuple[int, SubsetMask, int], ...]):
-        object.__setattr__(self, "graphs", graphs)
-        object.__setattr__(self, "moves", moves)
-
 
 def pivot_orbit(G: Matrix, max_graphs: int = 10**6) -> PivotOrbit:
     """Breadth-first closure of G under all pivots.

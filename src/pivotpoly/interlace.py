@@ -40,10 +40,6 @@ class Poly(_Value):
     __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "coeffs", coeffs)
-        self.__post_init__()
-
     def __post_init__(self):
         if any(not isinstance(c, int) for c in self.coeffs):
             raise ValueError("coefficients must be ints")

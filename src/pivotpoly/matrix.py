@@ -7,7 +7,8 @@ entries, which keep themselves in lowest terms with positive denominators;
 its eliminations (rank, determinant, pivot and the subset sweep) run on
 Python ints, each row scaled once by the lcm of its denominators, and
 build Fractions only for what they return.  Only the row format and the
-elimination kernels know the field; operations that eliminate nothing
+elimination kernels know the field, and each field's kernels sit in one
+``FieldKernels`` record of ``KERNELS``; operations that eliminate nothing
 (identity, transpose, products) work on dense entries through
 ``Matrix.from_entries``.  Every value is immutable and every operation is
 a pure function.
@@ -85,13 +86,13 @@ def _reject_floats(values: Iterable) -> None:
 class _Value:
     """Base of the immutable value types: fields live in ``__slots__``.
 
-    Each subclass names its fields in ``__slots__`` and writes an
-    ``__init__`` that sets them with ``object.__setattr__`` and then calls
-    its ``__post_init__`` check, if it has one.  Values compare and hash as
-    the tuple of their fields, print like the frozen dataclasses they
-    replace, and pickle and copy by calling the class on their fields
-    again.  ``__eq__`` and ``__hash__`` are compiled per subclass with the
-    field names spelled out: a generic version that reads the fields
+    Each subclass names its fields in ``__slots__`` and may define a
+    ``__post_init__`` check.  ``__init__``, ``__eq__`` and ``__hash__`` are
+    compiled per subclass with the field names spelled out; ``__init__``
+    sets each field and then calls ``__post_init__``, if there is one.
+    Values compare and hash as the tuple of their fields, print like the
+    frozen dataclasses they replace, and pickle and copy by calling the
+    class on their fields again.  A generic ``__eq__`` that read the fields
     through ``operator.attrgetter`` made ``==`` on ``SubsetMask`` about
     twice as slow.
     """
@@ -102,18 +103,23 @@ class _Value:
         fields = cls.__match_args__ = cls.__slots__
         mine = "(" + "".join(f"self.{f}, " for f in fields) + ")"
         theirs = mine.replace("self.", "other.")
+        sets = "".join(f"    _set_field(self, {f!r}, {f})\n" for f in fields)
+        check = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
         namespace: dict = {}
         exec(
+            f"def __init__(self, {', '.join(fields)}):\n{sets}{check}"
             "def __eq__(self, other):\n"
             "    if other.__class__ is self.__class__:\n"
             f"        return {mine} == {theirs}\n"
             "    return NotImplemented\n"
             "def __hash__(self):\n"
             f"    return hash({mine})\n",
+            {"_set_field": _set_field},
             namespace,
         )
-        cls.__eq__ = namespace["__eq__"]
-        cls.__hash__ = namespace["__hash__"]
+        for name, method in namespace.items():
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -143,6 +149,14 @@ def mask_items(domain: Sequence, bits: int):
         bits ^= low
 
 
+def _class_sizes(values, n: int) -> tuple[int, ...]:
+    """How many of the values 0..n fall in each class."""
+    counts = [0] * (n + 1)
+    for k in values:
+        counts[k] += 1
+    return tuple(counts)
+
+
 class SubsetMask(_Value):
     """A subset of a sorted label domain, stored as a bitmask.
 
@@ -152,11 +166,6 @@ class SubsetMask(_Value):
     __slots__ = ("domain", "bits")
     domain: tuple[str, ...]
     bits: int
-
-    def __init__(self, domain: tuple[str, ...], bits: int):
-        _set_field(self, "domain", domain)
-        _set_field(self, "bits", bits)
-        self.__post_init__()
 
     def __post_init__(self):
         if not 0 <= self.bits < (1 << len(self.domain)):
@@ -223,12 +232,6 @@ class Matrix(_Value):
     domain: tuple[str, ...]
     rows: tuple
 
-    def __init__(self, field: str, domain: tuple[str, ...], rows: tuple):
-        _set_field(self, "field", field)
-        _set_field(self, "domain", domain)
-        _set_field(self, "rows", rows)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.field not in (GF2, RATIONAL):
             raise ValueError(f"unknown field {self.field!r}")
@@ -277,12 +280,10 @@ class Matrix(_Value):
                     bits |= int(e) << jj
                 rows.append(bits)
             return cls(GF2, domain, tuple(rows))
-        if field == RATIONAL:
-            rows = tuple(
-                tuple(Fraction(dense[i][j]) for j in order) for i in order
-            )
-            return cls(RATIONAL, domain, rows)
-        raise ValueError(f"unknown field {field!r}")
+        rows = tuple(
+            tuple(Fraction(dense[i][j]) for j in order) for i in order
+        )
+        return cls(field, domain, rows)
 
     @classmethod
     def identity(cls, field: str, labels: Iterable[str]) -> "Matrix":
@@ -292,11 +293,9 @@ class Matrix(_Value):
 
     @classmethod
     def zeros(cls, field: str, labels: Iterable[str]) -> "Matrix":
-        domain = tuple(sorted(check_labels(labels)))
-        n = len(domain)
-        if field == GF2:
-            return cls(GF2, domain, (0,) * n)
-        return cls(RATIONAL, domain, ((Fraction(0),) * n,) * n)
+        labels = tuple(labels)
+        n = len(labels)
+        return cls.from_entries(field, labels, [[0] * n] * n)
 
     @property
     def n(self) -> int:
@@ -513,13 +512,22 @@ def f2_pivot_rows(rows: Sequence[int], bits: int) -> "tuple[int, ...] | None":
     return tuple(r & outside | r >> n & bits for r in rel)
 
 
-def compact_bits(bits: int, positions: Sequence[int]) -> int:
-    """Gather the given bit positions into a contiguous low-order mask."""
-    out = 0
-    for jj, j in enumerate(positions):
-        if bits >> j & 1:
-            out |= 1 << jj
-    return out
+def f2_rank_det(rows: Sequence[int]) -> tuple[int, int]:
+    """(rank, determinant) of a square GF(2) matrix, by :func:`f2_rank_rows`."""
+    rnk = f2_rank_rows(rows)
+    return rnk, int(rnk == len(rows))
+
+
+def f2_submatrix_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple[int, ...]:
+    """Rows ``idx`` of packed GF(2) rows, each with its bits ``idx`` gathered into the low bits."""
+    out = []
+    for i in idx:
+        r, bits = rows[i], 0
+        for jj, j in enumerate(idx):
+            if r >> j & 1:
+                bits |= 1 << jj
+        out.append(bits)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +658,41 @@ def q_pivot_rows(rows: Sequence[Sequence[Fraction]], bits: int) -> "tuple | None
     return tuple(out)
 
 
+def q_nullity_histogram(rows: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
+    """How many masks X give A[X] over Q each nullity 0..n, counted from the sweep."""
+    return _class_sizes(q_subset_nullities(rows), len(rows))
+
+
+def q_submatrix_rows(rows: Sequence[Sequence[Fraction]], idx: Sequence[int]) -> tuple:
+    """Rows ``idx`` of a rational matrix, each cut down to the entries ``idx``."""
+    return tuple(tuple(rows[i][j] for j in idx) for i in idx)
+
+
 # ---------------------------------------------------------------------------
 # Operations on Matrix values.
+
+class FieldKernels(_Value):
+    """One field's kernels, each on that field's row format.
+
+    By nullity invariance nothing else differs between GF(2) and Q, so
+    each operation that eliminates looks its field's record up in
+    ``KERNELS`` once and holds no field branch.
+    """
+
+    __slots__ = (
+        "rank_det", "submatrix_rows", "pivot_rows", "subset_nullities", "nullity_histogram"
+    )
+
+
+KERNELS = {
+    GF2: FieldKernels(
+        f2_rank_det, f2_submatrix_rows, f2_pivot_rows, f2_subset_nullities, f2_nullity_histogram
+    ),
+    RATIONAL: FieldKernels(
+        q_rank_det, q_submatrix_rows, q_pivot_rows, q_subset_nullities, q_nullity_histogram
+    ),
+}
+
 
 def _check_domain(A: Matrix, X: SubsetMask) -> None:
     if A.domain != X.domain:
@@ -661,13 +702,8 @@ def _check_domain(A: Matrix, X: SubsetMask) -> None:
 def principal_submatrix(A: Matrix, X: SubsetMask) -> Matrix:
     """The principal submatrix of A on the labels of X."""
     _check_domain(A, X)
-    idx = X.indices()
-    sub_domain = X.labels()
-    if A.field == GF2:
-        rows = tuple(compact_bits(A.rows[i], idx) for i in idx)
-        return Matrix(GF2, sub_domain, rows)
-    rows = tuple(tuple(A.rows[i][j] for j in idx) for i in idx)
-    return Matrix(RATIONAL, sub_domain, rows)
+    rows = KERNELS[A.field].submatrix_rows(A.rows, X.indices())
+    return Matrix(A.field, X.labels(), rows)
 
 
 def delete_label(A: Matrix, label: str) -> Matrix:
@@ -682,9 +718,7 @@ def transpose(A: Matrix) -> Matrix:
 
 
 def rank(A: Matrix) -> int:
-    if A.field == GF2:
-        return f2_rank_rows(A.rows)
-    return q_rank_det(A.rows)[0]
+    return KERNELS[A.field].rank_det(A.rows)[0]
 
 
 def nullity(A: Matrix) -> int:
@@ -697,18 +731,12 @@ def nullity_by_bits(A: Matrix, bits: int) -> int:
 
     One elimination per call, for spot checks of single subsets; a sweep
     over every subset goes through :func:`f2_subset_nullities` or
-    :func:`q_subset_nullities`.  Zero columns outside the mask cannot
-    affect the rank, so GF(2) rows are masked rather than compacted.
+    :func:`q_subset_nullities`.  A mask outside the domain raises
+    ``ValueError``.
     """
-    k = bits.bit_count()
-    if k == 0:
-        return 0
-    if A.field == GF2:
-        rows = A.rows
-        return k - f2_rank_rows(rows[i] & bits for i in range(A.n) if bits >> i & 1)
-    idx = [i for i in range(A.n) if bits >> i & 1]
-    sub = [[A.rows[i][j] for j in idx] for i in idx]
-    return k - q_rank_det(sub)[0]
+    idx = SubsetMask(A.domain, bits).indices()
+    kernels = KERNELS[A.field]
+    return len(idx) - kernels.rank_det(kernels.submatrix_rows(A.rows, idx))[0]
 
 
 def determinant(A: Matrix):
@@ -716,16 +744,12 @@ def determinant(A: Matrix):
 
     Returns an int (0 or 1) over GF(2) and a Fraction over the rationals.
     """
-    if A.field == GF2:
-        return int(f2_rank_rows(A.rows) == A.n)
-    return q_rank_det(A.rows)[1]
+    return KERNELS[A.field].rank_det(A.rows)[1]
 
 
 def pivot_rows(A: Matrix, bits: int) -> "tuple | None":
     """Rows of the pivot of A on the columns in ``bits``; None if that block is singular."""
-    if A.field == GF2:
-        return f2_pivot_rows(A.rows, bits)
-    return q_pivot_rows(A.rows, bits)
+    return KERNELS[A.field].pivot_rows(A.rows, bits)
 
 
 def inverse(A: Matrix) -> Matrix:

@@ -9,15 +9,7 @@ sizes, which is what makes the norm vector a pivot invariant.
 
 from __future__ import annotations
 
-from .matrix import (
-    GF2,
-    Matrix,
-    SubsetMask,
-    _Value,
-    f2_nullity_histogram,
-    f2_subset_nullities,
-    q_subset_nullities,
-)
+from .matrix import KERNELS, Matrix, SubsetMask, _class_sizes, _Value
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -61,11 +53,6 @@ class SetSystem(_Value):
     domain: tuple[str, ...]
     members: frozenset[int]
 
-    def __init__(self, domain: tuple[str, ...], members: frozenset[int]):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "members", members)
-        self.__post_init__()
-
     def __post_init__(self):
         limit = 1 << len(self.domain)
         if any(not 0 <= m < limit for m in self.members):
@@ -92,11 +79,6 @@ class PartitionSequence(_Value):
     __slots__ = ("domain", "nullities")
     domain: tuple[str, ...]
     nullities: tuple[int, ...]
-
-    def __init__(self, domain: tuple[str, ...], nullities: tuple[int, ...]):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "nullities", nullities)
-        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.domain)
@@ -127,23 +109,13 @@ def subset_nullities(A: Matrix) -> list[int]:
     elimination.
     """
     check_enumeration_cap(A.n)
-    if A.field == GF2:
-        return f2_subset_nullities(A.rows)
-    return q_subset_nullities(A.rows)
+    return KERNELS[A.field].subset_nullities(A.rows)
 
 
 def check_enumeration_cap(n: int, what: str = "domain size") -> None:
     """Refuse to enumerate the 2^n subsets of more than ``ENUMERATION_CAP`` items."""
     if n > ENUMERATION_CAP:
         raise ValueError(f"{what} {n} exceeds the subset enumeration cap {ENUMERATION_CAP}")
-
-
-def _class_sizes(nullities, n: int) -> tuple[int, ...]:
-    """How many of the values 0..n fall in each class."""
-    counts = [0] * (n + 1)
-    for k in nullities:
-        counts[k] += 1
-    return tuple(counts)
 
 
 def nullity_histogram(A: Matrix) -> tuple[int, ...]:
@@ -154,9 +126,7 @@ def nullity_histogram(A: Matrix) -> tuple[int, ...]:
     :func:`~pivotpoly.matrix.f2_nullity_histogram`).
     """
     check_enumeration_cap(A.n)
-    if A.field == GF2:
-        return f2_nullity_histogram(A.rows)
-    return _class_sizes(q_subset_nullities(A.rows), A.n)
+    return KERNELS[A.field].nullity_histogram(A.rows)
 
 
 def set_system_of(A: Matrix) -> SetSystem:

@@ -1,8 +1,8 @@
-"""Fixed inputs shared across the test modules."""
+"""Fixed inputs, and one kernel-patching helper, shared across the test modules."""
 
 from fractions import Fraction
 
-from pivotpoly import GF2, Matrix, RATIONAL, SubsetMask, graph_from_edges
+from pivotpoly import GF2, Matrix, RATIONAL, SubsetMask, graph_from_edges, matrix
 from pivotpoly.randgen import labels_for
 
 # 3x3 rational matrix with a singular {b,c} block and nonsingular {a,b} block.
@@ -164,3 +164,14 @@ SAMPLE_OVERLAP_EDGES = {
         ("4", "6"),
     ]
 }
+
+
+def patch_kernels(monkeypatch, field: str, **kernels) -> None:
+    """Replace some of one field's kernels in ``matrix.KERNELS`` for one test.
+
+    Every operation reads its kernels from that table, so patching a kernel
+    as a module attribute would not intercept the calls made through it.
+    """
+    record = matrix.KERNELS[field]
+    fields = {f: getattr(record, f) for f in record.__slots__}
+    monkeypatch.setitem(matrix.KERNELS, field, type(record)(**{**fields, **kernels}))

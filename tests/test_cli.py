@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 import pivotpoly
-from pivotpoly import circuits, cli, interlace
+from pivotpoly import circuits, cli, interlace, matrix
 import pivotpoly.graphs as graphs_module
-import pivotpoly.setsystems as setsystems_module
 from pivotpoly.cli import main
 from pivotpoly.formats import (
     FormatError,
@@ -32,7 +31,7 @@ from pivotpoly.setsystems import partition_sequence_of, set_system_of, subset_nu
 from pivotpoly import GF2, RATIONAL, Matrix, SubsetMask, graph_from_edges
 
 from oracles import graph_text_entrywise, orbit_text_by_objects, partition_listing_by_mask
-from samples import loopless, path_graph, pivot_pair_left
+from samples import loopless, path_graph, patch_kernels, pivot_pair_left
 
 MATRIX_Q = """\
 field q
@@ -476,11 +475,14 @@ def test_rational_recursion_trial_sweeps_once_and_draws_as_before(monkeypatch, c
             X = SubsetMask(A.domain, rng.choice(members))
             expected.append((A, X, rng.choice(X.labels())))
     sweeps, pivots, deleted = [], [], []
-    sweep, pivot, delete = setsystems_module.q_subset_nullities, cli.pivot, cli.delete_label
+    kernels, pivot, delete = matrix.KERNELS[RATIONAL], cli.pivot, cli.delete_label
 
-    def counting_sweep(rows):
-        sweeps.append(len(rows))
-        return sweep(rows)
+    def counting(kernel):
+        def wrapper(rows):
+            sweeps.append(len(rows))
+            return kernel(rows)
+
+        return wrapper
 
     def recording_pivot(A, X):
         pivots.append((A, X))
@@ -490,7 +492,13 @@ def test_rational_recursion_trial_sweeps_once_and_draws_as_before(monkeypatch, c
         deleted.append(u)
         return delete(A, u)
 
-    monkeypatch.setattr(setsystems_module, "q_subset_nullities", counting_sweep)
+    # A rational histogram is counted from one sweep.
+    patch_kernels(
+        monkeypatch,
+        RATIONAL,
+        subset_nullities=counting(kernels.subset_nullities),
+        nullity_histogram=counting(kernels.nullity_histogram),
+    )
     monkeypatch.setattr(cli, "pivot", recording_pivot)
     monkeypatch.setattr(cli, "delete_label", recording_delete)
     argv = ["verify", "--prop", "recursion", "--field", "q", "--trials", "80", "--size", "8", "--seed", "42"]

@@ -35,7 +35,13 @@ from pivotpoly import (
     schur_complement,
     transpose,
 )
-from pivotpoly.matrix import check_labels, q_pivot_rows, q_rank_det, q_subset_nullities
+from pivotpoly.matrix import (
+    check_labels,
+    nullity_by_bits,
+    q_pivot_rows,
+    q_rank_det,
+    q_subset_nullities,
+)
 from pivotpoly.randgen import labels_for, random_graph, random_matrix, random_vector
 
 import oracles
@@ -254,6 +260,16 @@ def test_determinant_worked_values():
     assert determinant(Matrix.zeros(RATIONAL, [])) == 1
     B = Matrix.from_entries(RATIONAL, ["a", "b"], [[1, 2], [1, 4]])
     assert determinant(B) == 2
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONAL])
+def test_nullity_by_bits_rejects_masks_outside_the_domain(field):
+    assert [nullity_by_bits(Matrix.zeros(field, ["a", "b"]), m) for m in range(4)] == [0, 1, 1, 2]
+    A = Matrix.identity(field, ["a", "b"])
+    assert [nullity_by_bits(A, m) for m in range(4)] == [0, 0, 0, 0]
+    for bits in (4, -1):
+        with pytest.raises(ValueError, match="do not fit the domain"):
+            nullity_by_bits(A, bits)
 
 
 def test_rank_nullity_and_transpose_agree():
@@ -491,9 +507,15 @@ def test_products_against_dense_oracle():
         assert identity_outside(A, X).to_entries() == expected
 
 
-def test_identity_rejects_unknown_fields():
-    with pytest.raises(ValueError, match="unknown field"):
-        Matrix.identity("z", ["a"])
+def test_constructors_reject_unknown_fields():
+    for build in (
+        lambda: Matrix("f3", ("a", "b"), (0, 0)),
+        lambda: Matrix.zeros("f3", ["a", "b"]),
+        lambda: Matrix.identity("f3", ["a", "b"]),
+        lambda: Matrix.from_entries("f3", ["a", "b"], [[0, 0], [0, 0]]),
+    ):
+        with pytest.raises(ValueError, match="unknown field 'f3'"):
+            build()
 
 
 def test_random_draws_share_one_stream():
@@ -620,8 +642,19 @@ def test_value_contract_of_the_eight_value_types():
         assert a == b and not a != b
         assert hash(a) == hash(b)
         assert type(a).__match_args__ == fields
-        by_keyword = type(a)(**{f: getattr(a, f) for f in fields})
+        kwargs = {f: getattr(a, f) for f in fields}
+        by_keyword = type(a)(**kwargs)
         assert by_keyword == a and hash(by_keyword) == hash(a)
+        args = tuple(kwargs.values())
+        by_position = type(a)(*args)
+        assert by_position == a and hash(by_position) == hash(a)
+        for wrong in (
+            lambda: type(a)(*args[:-1]),
+            lambda: type(a)(*args, None),
+            lambda: type(a)(**kwargs, extra=None),
+        ):
+            with pytest.raises(TypeError):
+                wrong()
         for name in (fields[0], "extra"):
             with pytest.raises(AttributeError):
                 setattr(a, name, None)
@@ -633,3 +666,16 @@ def test_value_contract_of_the_eight_value_types():
     for i, a in enumerate(values):
         for b in values[i + 1 :]:
             assert a != b and b != a
+    # The constructor runs the class's __post_init__ check, where it has one.
+    invalid = {
+        SubsetMask: (("a",), 2),
+        Matrix: ("f3", ("a",), (0,)),
+        SetSystem: (("a",), frozenset({2})),
+        PartitionSequence: (("a",), (0,)),
+        Poly: ((1, 0),),
+        TwoInTwoOutDigraph: (("1",), (("1", "1"),)),
+    }
+    for cls, args in invalid.items():
+        with pytest.raises(ValueError):
+            cls(*args)
+    assert {type(a) for a in values if hasattr(a, "__post_init__")} == set(invalid)

@@ -15,6 +15,7 @@ from pivotpoly import (
     partition_sequence_of,
     pivot,
     principal_submatrix,
+    rank,
     restrict,
     set_system_of,
     twist,
@@ -25,7 +26,7 @@ from pivotpoly.setsystems import (
     nullity_histogram,
     subset_nullities,
 )
-from pivotpoly import matrix, setsystems
+from pivotpoly import matrix
 from pivotpoly.cli import main
 from pivotpoly.interlace import nullity_polynomial
 from pivotpoly.randgen import labels_for, random_graph, random_matrix, random_valid_pivot_subset
@@ -37,6 +38,7 @@ from samples import (
     RIGHT_CLASSES,
     big_fraction_entries,
     classes_to_masks,
+    patch_kernels,
     pivot_pair_left,
     pivot_pair_right,
     rational_stress_matrices,
@@ -356,26 +358,29 @@ def test_rational_walk_keeps_integers_small(monkeypatch):
 def test_sweep_runs_no_per_subset_elimination(monkeypatch):
     calls = []
 
-    def counted(name):
-        real = getattr(matrix, name)
-
+    def counted(name, real):
         def wrapper(*args):
             calls.append(name)
             return real(*args)
 
         return wrapper
 
+    # Through the table for callers that look kernels up, and as module
+    # attributes for kernels that call one another.
+    for field in (GF2, RATIONAL):
+        patch_kernels(monkeypatch, field, rank_det=counted(field, matrix.KERNELS[field].rank_det))
     for name in ("nullity_by_bits", "f2_rank_rows", "q_rank_det"):
-        wrapper = counted(name)
-        monkeypatch.setattr(matrix, name, wrapper)
-        monkeypatch.setattr(setsystems, name, wrapper, raising=False)
+        monkeypatch.setattr(matrix, name, counted(name, getattr(matrix, name)))
     rng = random.Random(31)
     for field in (GF2, RATIONAL):
         A = random_matrix(rng, field, 6)
+        rank(A)
+        assert field in calls  # the wrappers see a direct elimination
+        calls.clear()
         partition_sequence_of(A)
         nullity_histogram(A)
         set_system_of(A)
-    assert calls == []
+        assert calls == []
 
 
 def test_enumeration_cap_is_enforced():
@@ -446,8 +451,8 @@ def test_histogram_consumers_build_no_mask_list(monkeypatch, capsys):
     def refuse(rows):
         raise AssertionError("a histogram consumer built the 2^n mask list")
 
+    patch_kernels(monkeypatch, GF2, subset_nullities=refuse)
     monkeypatch.setattr(matrix, "f2_subset_nullities", refuse)
-    monkeypatch.setattr(setsystems, "f2_subset_nullities", refuse)
     G = graph_from_edges("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("e", "e")])
     A = random_matrix(random.Random(67), GF2, 9)
     with pytest.raises(AssertionError, match="mask list"):
