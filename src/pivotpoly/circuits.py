@@ -3,10 +3,13 @@
 A double occurrence string (every letter exactly twice) describes an Euler
 circuit of a 2-in, 2-out digraph: consecutive letters give the arcs.  At
 each vertex the circuit pairs one incoming arc with one outgoing arc; a
-subset X of vertices selects the swapped pairing there instead, and the
-arcs then decompose into closed walks.  The number of walks is tied to the
-nullity of the overlap graph: walks = nullity(overlap[X]) + 1, which makes
-this tracer an independent oracle for the algebra.
+subset X of vertices selects the swapped pairing there instead.  The arc
+successors then form a permutation whose cycles are the closed walks, and
+swapping the pairing at a vertex transposes the successors of its two
+entering arcs, which changes the walk count by exactly one.  The number of
+walks is tied to the nullity of the overlap graph:
+walks = nullity(overlap[X]) + 1, which makes this tracer an independent
+oracle for the algebra.
 """
 
 from __future__ import annotations
@@ -138,25 +141,15 @@ class WalkPartition(_Value):
         return len(self.walks)
 
 
-def _arc_tables(s: Sequence[str], domain: Sequence[str]) -> tuple[list[int], list[int], list[int]]:
-    """Per-arc successor tables of a validated string: (straight, flipped, head).
+def _entering_arcs(s: Sequence[str], domain: Sequence[str]) -> list[tuple[int, int]]:
+    """The two arcs entering each vertex of a validated string, in domain order.
 
-    The circuit pairing sends the arc entering an occurrence to the arc
-    leaving that same occurrence (``straight``); a flipped vertex routes to
-    the arc leaving its other occurrence instead (``flipped``).  ``head[a]``
-    is the domain index of the vertex arc a enters, so under a flip mask
-    arc a continues to ``flipped[a]`` when bit ``head[a]`` is set.
+    The circuit sends arc a to arc a + 1.  A letter at positions p and q is
+    entered by arcs p - 1 and q - 1; flipping it swaps their successors.
     """
     L = len(s)
     occ = _occurrences(s)
-    position = {lab: i for i, lab in enumerate(domain)}
-    straight = [(a + 1) % L for a in range(L)]
-    flipped = []
-    for t in straight:
-        p, q = occ[s[t]]
-        flipped.append(q if t == p else p)
-    head = [position[s[t]] for t in straight]
-    return straight, flipped, head
+    return [((p - 1) % L, (q - 1) % L) for p, q in map(occ.__getitem__, domain)]
 
 
 def trace_partition(s: Sequence[str], X: SubsetMask) -> WalkPartition:
@@ -165,9 +158,12 @@ def trace_partition(s: Sequence[str], X: SubsetMask) -> WalkPartition:
     domain = dos_domain(s)
     if X.domain != domain:
         raise ValueError("flip set domain differs from the string's letters")
-    straight, flipped, head = _arc_tables(s, domain)
-    succ = [f if X.bits >> h & 1 else t for t, f, h in zip(straight, flipped, head)]
     L = len(s)
+    succ = [(a + 1) % L for a in range(L)]
+    entering = _entering_arcs(s, domain)
+    for v in X.indices():
+        e, f = entering[v]
+        succ[e], succ[f] = succ[f], succ[e]
     visited = [False] * L
     walks = []
     for start in range(L):
@@ -198,30 +194,31 @@ def cohn_lempel_check(s: Sequence[str], X: SubsetMask) -> tuple[int, int]:
 def walk_counts(s: Sequence[str]) -> list[int]:
     """The number of closed walks under every flip subset, indexed by mask value.
 
-    The string is checked and its successor tables built once; each subset
-    then only counts walks.  By the Cohn-Lempel law entry X equals the
-    nullity of overlap[X] plus one.
+    The arc successors form one permutation, and flipping a vertex swaps
+    the successors of its two entering arcs: a transposition.  It splits
+    the cycle holding both arcs, or joins the two cycles holding one each,
+    so one flip changes the walk count by exactly one.  The subsets are
+    visited in Gray-code order, one flip per step, and each step walks from
+    one entering arc until it meets the other or returns to itself.  By the
+    Cohn-Lempel law entry X equals the nullity of overlap[X] plus one.
     """
     s = check_double_occurrence(s)
     domain = dos_domain(s)
     n = len(domain)
     check_enumeration_cap(n, "alphabet size")
-    arcs = list(zip(*_arc_tables(s, domain)))
+    entering = _entering_arcs(s, domain)
     L = len(s)
-    counts = []
-    for bits in range(1 << n):
-        succ = [f if bits >> h & 1 else t for t, f, h in arcs]
-        visited = [False] * L
-        walks = 0
-        for start in range(L):
-            if visited[start]:
-                continue
-            walks += 1
-            a = start
-            while not visited[a]:
-                visited[a] = True
-                a = succ[a]
-        counts.append(walks)
+    succ = [(a + 1) % L for a in range(L)]
+    counts = [0] * (1 << n)
+    counts[0] = walks = 1
+    for step in range(1, 1 << n):
+        e, f = entering[(step & -step).bit_length() - 1]
+        a = succ[e]
+        while a != f and a != e:
+            a = succ[a]
+        walks += 1 if a == f else -1
+        succ[e], succ[f] = succ[f], succ[e]
+        counts[step ^ step >> 1] = walks
     return counts
 
 

@@ -186,10 +186,11 @@ class SubsetMask(_Value):
         position = {lab: i for i, lab in enumerate(domain)}
         bits = 0
         for lab in labels:
-            try:
-                bits |= 1 << position[lab]
-            except KeyError:
-                raise ValueError(f"label {lab!r} not in domain {domain}") from None
+            if lab not in position:
+                raise ValueError(f"label {lab!r} not in domain {domain}")
+            if bits >> position[lab] & 1:
+                raise ValueError(f"label {lab!r} given twice")
+            bits |= 1 << position[lab]
         return cls(domain, bits)
 
     def labels(self) -> tuple[str, ...]:

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -192,25 +193,33 @@ def test_distribution_matches_norm_random():
 
 
 def test_distribution_matches_per_subset_traces():
-    # walk_counts builds its successor tables once; tracing every subset
-    # separately with trace_partition is the reference.
+    # walk_counts steps through the subsets one flip at a time; tracing
+    # every subset separately with trace_partition is the reference.  Every
+    # string with at most four letters, then random ones up to ten.
     rng = random.Random(13)
-    for _ in range(40):
-        s = random_dos(rng, rng.randint(1, 9))
+    strings = [s for n in range(1, 5) for s in sorted(set(permutations("aabbccdd"[: 2 * n])))]
+    assert len(strings) == 2617
+    strings += [random_dos(rng, rng.randint(5, 10)) for _ in range(40)]
+    for s in strings:
         domain = dos_domain(s)
-        traced = [
-            len(trace_partition(s, SubsetMask(domain, bits)))
-            for bits in range(1 << len(domain))
-        ]
+        n = len(domain)
+        traced = [len(trace_partition(s, SubsetMask(domain, bits))) for bits in range(1 << n)]
         assert walk_counts(s) == traced
-        expected = [traced.count(k + 1) for k in range(len(domain) + 1)]
+        expected = [traced.count(k + 1) for k in range(n + 1)]
         assert walk_distribution(s) == tuple(expected)
+        # A flip transposes two successors: it splits one walk or joins two.
+        assert all(
+            abs(traced[bits] - traced[bits ^ 1 << v]) == 1
+            for bits in range(1 << n)
+            for v in range(n)
+        )
 
 
 def test_distribution_enumeration_cap():
-    letters = [f"L{i:03d}" for i in range(65)]
-    s = tuple(lab for lab in letters for _ in range(2))
-    with pytest.raises(ValueError, match="enumeration cap"):
+    # 24 letters is the largest size allowed, but it sweeps 2^24 subsets, so
+    # only the first size past the cap runs here.
+    s = tuple(f"L{i:02d}" for i in range(25) for _ in range(2))
+    with pytest.raises(ValueError, match="alphabet size 25 exceeds the subset enumeration cap 24"):
         walk_distribution(s)
 
 

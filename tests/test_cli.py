@@ -544,6 +544,16 @@ def test_exit_code_for_unknown_label(matrix_file, capsys):
     assert main(["pivot", "--matrix", matrix_file, "--on", "z"]) == 2
 
 
+def test_repeated_label_is_a_usage_error(matrix_file, capsys):
+    for argv, label in (
+        (["pivot", "--matrix", matrix_file, "--on", "a,a"], "a"),
+        (["nullity", "--matrix", matrix_file, "--subset", "b,a,b"], "b"),
+        (["walks", "--dos", "1212", "--flip", "1,1"], "1"),
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: label '{label}' given twice\n"), argv
+
+
 def test_exit_code_for_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.mat"
     bad.write_text("field q\na b\n1 2\n")

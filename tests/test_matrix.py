@@ -190,6 +190,14 @@ def test_subset_mask_basics():
         X ^ SubsetMask.empty(("a", "b"))
 
 
+def test_subset_mask_rejects_a_repeated_label():
+    # A repeated label used to merge silently, so {a, a} became {a}.
+    with pytest.raises(ValueError, match="^label 'a' given twice$"):
+        SubsetMask.of(("a", "b", "c"), ["a", "b", "a"])
+    with pytest.raises(ValueError, match="not in domain"):
+        SubsetMask.of(("a", "b"), ["z", "z"])
+
+
 @given(st.integers(0, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
 def test_mask_labels_and_indices_list_set_bits_in_order(n_bits):
     n, bits = n_bits
