@@ -36,6 +36,7 @@ from .matrix import (
     _class_sizes,
     delete_label,
     nullity,
+    nullity_by_bits,
     principal_submatrix,
 )
 from .pivot import (
@@ -169,26 +170,20 @@ def _cmd_interlace(args) -> int:
     from . import interlace
 
     G = parse_graph(_read(args.graph))
-    if args.method == "direct":
-        qp = interlace.nullity_polynomial(G)
-        q = interlace.interlace_from_nullity(qp)
-    elif args.method == "recursive":
+    if args.method == "recursive":
         q = interlace.interlace_recursive(G)
         qp = interlace.nullity_from_interlace(q)
     else:
         qp = interlace.nullity_polynomial(G)
         q = interlace.interlace_from_nullity(qp)
-        q_rec = interlace.interlace_recursive(G)
-        if q_rec != q:
-            print(f"q': {qp}")
-            print(f"q: {q}")
-            print(f"METHOD MISMATCH: recursive gave {q_rec}")
-            return 1
+    # The check runs before anything is printed, so a recursion that fails
+    # (exit 2) leaves stdout empty.
+    q_rec = interlace.interlace_recursive(G) if args.method == "both" else q
     print(f"q': {qp}")
     print(f"q: {q}")
     if args.method == "both":
-        print("methods agree")
-    return 0
+        print("methods agree" if q_rec == q else f"METHOD MISMATCH: recursive gave {q_rec}")
+    return 0 if q_rec == q else 1
 
 
 def _cmd_overlap(args) -> int:
@@ -206,10 +201,11 @@ def _cmd_walks(args) -> int:
     domain = circuits.dos_domain(s)
     X = SubsetMask.of(domain, _split_labels(args.flip))
     part = circuits.trace_partition(s, X)
-    print(f"walks: {len(part)}")
+    walks = len(part)
+    print(f"walks: {walks}")
     for idx, walk in enumerate(part.walks):
         print(f"walk {idx}: " + " ".join(str(a) for a in walk))
-    walks, alg = circuits.cohn_lempel_check(s, X)
+    alg = nullity_by_bits(circuits.overlap_graph(s), X.bits) + 1
     ok = walks == alg
     print(f"cohn-lempel: walks={walks} nullity+1={alg} {'ok' if ok else 'MISMATCH'}")
     return 0 if ok else 1

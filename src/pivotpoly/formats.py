@@ -75,13 +75,10 @@ def parse_matrix(text: str) -> Matrix:
             else:
                 if not _RATIONAL_TOKEN.match(tok):
                     raise FormatError(f"bad rational entry {tok!r}")
-                num, _, den = tok.partition("/")
-                if den == "":
-                    row.append(int(num))
-                else:
-                    if int(den) == 0:
-                        raise FormatError(f"zero denominator in {tok!r}")
-                    row.append(Fraction(int(num), int(den)))
+                try:
+                    row.append(Fraction(tok) if "/" in tok else int(tok))
+                except ZeroDivisionError:
+                    raise FormatError(f"zero denominator in {tok!r}") from None
         entries.append(row)
     try:
         return Matrix.from_entries(field, labels, entries)

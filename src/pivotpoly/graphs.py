@@ -17,6 +17,7 @@ from .matrix import (
     SubsetMask,
     _Value,
     check_labels,
+    check_same_domain,
 )
 
 __all__ = [
@@ -184,8 +185,7 @@ def elementary_decomposition(G: Matrix, Y: SubsetMask) -> list[SubsetMask]:
     on a block with neither and raises PivotUndefinedError.
     """
     require_graph(G)
-    if G.domain != Y.domain:
-        raise ValueError("subset domain differs from graph domain")
+    check_same_domain(G, Y)
     rows, remaining, parts = G.rows, Y.bits, []
     while remaining:
         part = next(_elementary_parts(rows, remaining), None)

@@ -31,6 +31,7 @@ __all__ = [
     "SubsetMask",
     "Matrix",
     "check_labels",
+    "check_same_domain",
     "mask_items",
     "principal_submatrix",
     "delete_label",
@@ -74,6 +75,12 @@ def check_labels(labels: Iterable[str]) -> tuple[str, ...]:
     if len(set(out)) != len(out):
         raise ValueError("duplicate labels in domain")
     return out
+
+
+def check_same_domain(a, b) -> None:
+    """Raise ValueError unless two values (matrices, masks, set systems) share one domain."""
+    if a.domain != b.domain:
+        raise ValueError(f"domains differ: {a.domain} and {b.domain}")
 
 
 def _reject_floats(values: Iterable) -> None:
@@ -203,8 +210,7 @@ class SubsetMask(_Value):
         return SubsetMask(self.domain, self.bits ^ ((1 << len(self.domain)) - 1))
 
     def __xor__(self, other: "SubsetMask") -> "SubsetMask":
-        if self.domain != other.domain:
-            raise ValueError("symmetric difference across different domains")
+        check_same_domain(self, other)
         return SubsetMask(self.domain, self.bits ^ other.bits)
 
     def __contains__(self, label: str) -> bool:
@@ -695,14 +701,9 @@ KERNELS = {
 }
 
 
-def _check_domain(A: Matrix, X: SubsetMask) -> None:
-    if A.domain != X.domain:
-        raise ValueError("subset domain differs from matrix domain")
-
-
 def principal_submatrix(A: Matrix, X: SubsetMask) -> Matrix:
     """The principal submatrix of A on the labels of X."""
-    _check_domain(A, X)
+    check_same_domain(A, X)
     rows = KERNELS[A.field].submatrix_rows(A.rows, X.indices())
     return Matrix(A.field, X.labels(), rows)
 
@@ -766,7 +767,7 @@ def identity_outside(A: Matrix, X: SubsetMask) -> Matrix:
 
     The resulting matrix has the same nullity as the principal submatrix A[X].
     """
-    _check_domain(A, X)
+    check_same_domain(A, X)
     unit = Matrix.identity(A.field, A.domain).rows
     rows = tuple(A.rows[i] if X.bits >> i & 1 else unit[i] for i in range(A.n))
     return Matrix(A.field, A.domain, rows)

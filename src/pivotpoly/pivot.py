@@ -15,6 +15,7 @@ from .matrix import (
     Matrix,
     PivotUndefinedError,
     SubsetMask,
+    check_same_domain,
     determinant,
     mat_vec,
     nullity,
@@ -39,13 +40,10 @@ def pivot(A: Matrix, X: SubsetMask) -> Matrix:
 
         (P | Q ; R | S)  ->  (P^-1 | -P^-1 Q ; R P^-1 | S - R P^-1 Q)
 
-    Requires A[X] nonsingular; pivot(A, empty) is A and pivot(A, full) is
-    the inverse.
+    Requires A[X] nonsingular; pivot(A, empty) equals A and pivot(A, full)
+    is the inverse.
     """
-    if A.domain != X.domain:
-        raise ValueError("subset domain differs from matrix domain")
-    if X.bits == 0:
-        return A
+    check_same_domain(A, X)
     rows = pivot_rows(A, X.bits)
     if rows is None:
         raise PivotUndefinedError(f"pivot undefined: A[{X}] singular", X)

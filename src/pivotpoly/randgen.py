@@ -2,7 +2,7 @@
 
 The verification suites and the CLI share these generators so a seed pins
 the exact instances.  Conventions: matrix entries are drawn row-major; a
-GF(2) entry is ``rng.randrange(2)``, a rational entry is ``rng.randint(-3, 3)``;
+GF(2) entry is ``rng.randint(0, 1)``, a rational entry is ``rng.randint(-3, 3)``;
 graphs draw one bit per unordered pair (i <= j) in row-major order and
 mirror it.  Labels are v00, v01, ... so lexicographic order matches index
 order; strings use letters a, b, c, ...
@@ -32,13 +32,18 @@ def labels_for(n: int) -> tuple[str, ...]:
     return tuple(f"v{i:02d}" for i in range(n))
 
 
+# The entry range of each field.  randint(0, 1) makes the one _randbelow(2)
+# call that randrange(2) makes, so GF(2) draws match a randrange(2) stream.
+_ENTRY_RANGES = {GF2: (0, 1), RATIONAL: (-3, 3)}
+
+
 def _entry_draw(rng: random.Random, field: str):
     """The per-entry draw of a field, as a function of no arguments."""
-    if field == GF2:
-        return lambda: rng.randrange(2)
-    if field == RATIONAL:
-        return lambda: rng.randint(-3, 3)
-    raise ValueError(f"unknown field {field!r}")
+    try:
+        lo, hi = _ENTRY_RANGES[field]
+    except KeyError:
+        raise ValueError(f"unknown field {field!r}") from None
+    return lambda: rng.randint(lo, hi)
 
 
 def random_matrix(rng: random.Random, field: str, n: int) -> Matrix:

@@ -9,7 +9,7 @@ sizes, which is what makes the norm vector a pivot invariant.
 
 from __future__ import annotations
 
-from .matrix import KERNELS, Matrix, SubsetMask, _class_sizes, _Value
+from .matrix import KERNELS, Matrix, SubsetMask, _class_sizes, _Value, check_same_domain
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -59,8 +59,7 @@ class SetSystem(_Value):
             raise ValueError("member mask does not fit the domain")
 
     def __contains__(self, X: SubsetMask) -> bool:
-        if X.domain != self.domain:
-            raise ValueError("membership test across different domains")
+        check_same_domain(self, X)
         return X.bits in self.members
 
     def __len__(self) -> int:
@@ -147,16 +146,13 @@ def twist(obj, X: SubsetMask):
     On a partition sequence the twist is the index permutation y -> y ^ X,
     so every subset keeps its class index and the norm never changes.
     """
+    if not isinstance(obj, (SetSystem, PartitionSequence)):
+        raise TypeError(f"cannot twist {type(obj).__name__}")
+    check_same_domain(obj, X)
     if isinstance(obj, SetSystem):
-        if obj.domain != X.domain:
-            raise ValueError("twist across different domains")
         return SetSystem(obj.domain, frozenset(m ^ X.bits for m in obj.members))
-    if isinstance(obj, PartitionSequence):
-        if obj.domain != X.domain:
-            raise ValueError("twist across different domains")
-        old, x = obj.nullities, X.bits
-        return PartitionSequence(obj.domain, tuple([old[y ^ x] for y in range(len(old))]))
-    raise TypeError(f"cannot twist {type(obj).__name__}")
+    old, x = obj.nullities, X.bits
+    return PartitionSequence(obj.domain, tuple([old[y ^ x] for y in range(len(old))]))
 
 
 def norm(P: PartitionSequence) -> tuple[int, ...]:
@@ -170,8 +166,7 @@ def restrict(P: PartitionSequence, X: SubsetMask) -> PartitionSequence:
     For the partition sequence of a matrix A this equals the partition
     sequence of the principal submatrix A[X].
     """
-    if P.domain != X.domain:
-        raise ValueError("restriction across different domains")
+    check_same_domain(P, X)
     # The submasks of X in increasing order are the compact masks 0..2^k-1.
     outside = ~X.bits
     kept = [k for m, k in enumerate(P.nullities) if m & outside == 0]

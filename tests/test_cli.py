@@ -299,6 +299,47 @@ def test_distribution_command(capsys):
     assert out[2] == "match"
 
 
+# Each cross-check command exits 1 when its two computations disagree.  The
+# fakes below break one side; the other side and the output format are real.
+
+def test_interlace_both_reports_a_method_mismatch(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "seed.graph"
+    path.write_text(ORBIT_SEED)
+    monkeypatch.setattr(interlace, "interlace_recursive", lambda G: interlace.Poly.of([9]))
+    assert main(["interlace", "--graph", str(path), "--method", "both"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "q': 5 3\nq: 2 3\nMETHOD MISMATCH: recursive gave 9\n"
+    assert captured.err == ""
+
+
+def test_walks_reports_a_cohn_lempel_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(circuits, "overlap_graph", lambda s: Matrix.zeros(GF2, circuits.dos_domain(s)))
+    assert main(["walks", "--dos", "146543625123", "--flip", "3,4,5,6"]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("\ncohn-lempel: walks=3 nullity+1=5 MISMATCH\n")
+
+
+def test_distribution_reports_a_mismatch(monkeypatch, capsys):
+    real = circuits.walk_distribution
+    monkeypatch.setattr(circuits, "walk_distribution", lambda s: real(s)[::-1])
+    assert main(["distribution", "--dos", "146543625123"]) == 1
+    assert capsys.readouterr().out.endswith("\nMISMATCH\n")
+
+
+def test_walks_traces_the_flip_set_once(monkeypatch, capsys):
+    calls = []
+    real = circuits.trace_partition
+
+    def counting_trace(s, X):
+        calls.append(X)
+        return real(s, X)
+
+    monkeypatch.setattr(circuits, "trace_partition", counting_trace)
+    assert main(["walks", "--dos", "146543625123", "--flip", "3,4,5,6"]) == 0
+    assert capsys.readouterr().out.endswith("\ncohn-lempel: walks=3 nullity+1=3 ok\n")
+    assert len(calls) == 1
+
+
 ORBIT_SEED_STDOUT = """\
 orbit size 5
 graph 0

@@ -474,6 +474,42 @@ def test_mat_mul_identity_and_mismatch():
         mat_mul(A, G)
 
 
+# --- domain checks --------------------------------------------------------------
+
+# Every value that meets another value checks their domains through
+# matrix.check_same_domain, so each mismatch names both domains the same way.
+_AB, _AC = ("a", "b"), ("a", "c")
+_DOMAIN_MISMATCH = "domains differ: ('a', 'b') and ('a', 'c')"
+
+
+_COMBINE_ACROSS_DOMAINS = {
+    "principal_submatrix": lambda X: principal_submatrix(Matrix.zeros(GF2, _AB), X),
+    "identity_outside": lambda X: identity_outside(Matrix.zeros(RATIONAL, _AB), X),
+    "mask_xor": lambda X: SubsetMask.full(_AB) ^ X,
+    "pivot": lambda X: pivotpoly.pivot(Matrix.identity(RATIONAL, _AB), X),
+    "elementary_decomposition": lambda X: pivotpoly.elementary_decomposition(Matrix.zeros(GF2, _AB), X),
+    "set_system_contains": lambda X: X in SetSystem(_AB, frozenset({0})),
+    "twist_set_system": lambda X: pivotpoly.twist(SetSystem(_AB, frozenset({0})), X),
+    "twist_partition_sequence": lambda X: pivotpoly.twist(PartitionSequence(_AB, (0, 0, 0, 0)), X),
+    "restrict": lambda X: pivotpoly.restrict(PartitionSequence(_AB, (0, 0, 0, 0)), X),
+}
+
+
+@pytest.mark.parametrize(
+    "combine", list(_COMBINE_ACROSS_DOMAINS.values()), ids=list(_COMBINE_ACROSS_DOMAINS)
+)
+def test_mismatched_domains_share_one_message(combine):
+    with pytest.raises(ValueError) as exc:
+        combine(SubsetMask.full(_AC))
+    assert str(exc.value) == _DOMAIN_MISMATCH
+
+
+def test_trace_partition_keeps_its_own_domain_message():
+    # A flip set is checked against the string's letters, not against a value.
+    with pytest.raises(ValueError, match="^flip set domain differs from the string's letters$"):
+        pivotpoly.trace_partition("abab", SubsetMask.full(_AC))
+
+
 def _product_cases():
     """(A, B, mod2) triples for n = 0..7 over both fields: random matrices,
     then the rational stress matrices paired with a random matrix and with
