@@ -17,7 +17,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Sequence
 
-from .matrix import GF2, Matrix, SubsetMask, _class_sizes, _Value, check_labels, nullity_by_bits
+from .graphs import graph_from_edges
+from .matrix import Matrix, SubsetMask, _class_sizes, _Value, check_labels, nullity_by_bits
 from .setsystems import check_enumeration_cap
 
 __all__ = [
@@ -82,16 +83,13 @@ def overlap_graph(s: Sequence[str]) -> Matrix:
     s = check_double_occurrence(s)
     domain = dos_domain(s)
     occ = _occurrences(s)
-    n = len(domain)
-    rows = [0] * n
-    for i in range(n):
-        p, q = occ[domain[i]]
-        for j in range(i + 1, n):
-            inside = sum(p < t < q for t in occ[domain[j]])
-            if inside == 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Matrix(GF2, domain, tuple(rows))
+    edges = []
+    for i, u in enumerate(domain):
+        p, q = occ[u]
+        for v in domain[i + 1:]:
+            if sum(p < t < q for t in occ[v]) == 1:
+                edges.append((u, v))
+    return graph_from_edges(domain, edges)
 
 
 class TwoInTwoOutDigraph(_Value):

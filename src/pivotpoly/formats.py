@@ -75,8 +75,9 @@ def parse_matrix(text: str) -> Matrix:
             else:
                 if not _RATIONAL_TOKEN.match(tok):
                     raise FormatError(f"bad rational entry {tok!r}")
+                num, _, den = tok.partition("/")
                 try:
-                    row.append(Fraction(tok) if "/" in tok else int(tok))
+                    row.append(Fraction(int(num), int(den)) if den else int(tok))
                 except ZeroDivisionError:
                     raise FormatError(f"zero denominator in {tok!r}") from None
         entries.append(row)

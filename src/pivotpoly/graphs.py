@@ -289,18 +289,14 @@ def graph_from_set_system(M: SetSystem) -> Matrix:
     A vertex is looped exactly when its singleton is a member, and a pair is
     an edge exactly when its pair-membership differs from the conjunction of
     the two singleton memberships.  Garbage in, garbage out: the input is
-    assumed to come from a graph.
+    assumed to come from a graph.  The graph's domain is sorted, also when
+    the set system's is not.
     """
-    n = len(M.domain)
-    members = M.members
-    rows = [0] * n
-    for i in range(n):
-        if (1 << i) in members:
-            rows[i] |= 1 << i
-    for i in range(n):
-        for j in range(i + 1, n):
-            singles = ((1 << i) in members) and ((1 << j) in members)
-            if (((1 << i) | (1 << j)) in members) != singles:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Matrix(GF2, M.domain, tuple(rows))
+    domain, members = M.domain, M.members
+    looped = [(1 << i) in members for i in range(len(domain))]
+    edges = [(u, u) for u, loop in zip(domain, looped) if loop]
+    for i, u in enumerate(domain):
+        for j in range(i + 1, len(domain)):
+            if (((1 << i) | (1 << j)) in members) != (looped[i] and looped[j]):
+                edges.append((u, domain[j]))
+    return graph_from_edges(domain, edges)

@@ -17,9 +17,10 @@ from operator import add
 from .graphs import _elementary_parts, _elementary_pivot_rows, require_graph
 from .matrix import Matrix, SubsetMask, _Value, delete_label
 from .pivot import pivot
-from .setsystems import RECURSION_MEMO_CAP, nullity_histogram
+from .setsystems import nullity_histogram
 
 __all__ = [
+    "RECURSION_MEMO_CAP",
     "Poly",
     "nullity_polynomial",
     "interlace_polynomial",
@@ -28,6 +29,14 @@ __all__ = [
     "interlace_recursive",
     "verify_recursion",
 ]
+
+# The graph deletion recursion memoises each distinct subgraph it reaches,
+# and this cap bounds the rows its memo stores over all entries.  Rows, not
+# entries: a subgraph's key and coefficients grow with its size, so on long
+# paths one entry holds hundreds of rows.  A call that reaches the cap has
+# run about 6 s and peaked near 160 MB on a dense 40-vertex graph, and about
+# 4 s and 270 MB on a 500- or 900-vertex path.
+RECURSION_MEMO_CAP = 1 << 22
 
 
 class Poly(_Value):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import string
 
+from .graphs import graph_from_edges
 from .matrix import GF2, RATIONAL, Matrix, SubsetMask
 from .setsystems import subset_nullities
 
@@ -53,13 +54,9 @@ def random_matrix(rng: random.Random, field: str, n: int) -> Matrix:
 
 def random_graph(rng: random.Random, n: int) -> Matrix:
     """A symmetric GF(2) matrix: one fair bit per unordered pair, loops included."""
-    entries = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            bit = rng.randrange(2)
-            entries[i][j] = bit
-            entries[j][i] = bit
-    return Matrix.from_entries(GF2, labels_for(n), entries)
+    labels = labels_for(n)
+    pairs = ((u, v) for i, u in enumerate(labels) for v in labels[i:])
+    return graph_from_edges(labels, [pair for pair in pairs if rng.randrange(2)])
 
 
 def random_vector(rng: random.Random, field: str, n: int) -> list[int]:

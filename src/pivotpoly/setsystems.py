@@ -13,7 +13,6 @@ from .matrix import KERNELS, Matrix, SubsetMask, _class_sizes, _Value, check_sam
 
 __all__ = [
     "ENUMERATION_CAP",
-    "RECURSION_MEMO_CAP",
     "check_enumeration_cap",
     "SetSystem",
     "PartitionSequence",
@@ -36,14 +35,6 @@ __all__ = [
 # so for it the cap bounds time (about 0.3 s at n = 20 and 6 s at the
 # cap), and its memo's entry bound bounds its memory.
 ENUMERATION_CAP = 24
-
-# The graph deletion recursion memoises each distinct subgraph it reaches,
-# and this cap bounds the rows its memo stores over all entries.  Rows, not
-# entries: a subgraph's key and coefficients grow with its size, so on long
-# paths one entry holds hundreds of rows.  A call that reaches the cap has
-# run about 6 s and peaked near 160 MB on a dense 40-vertex graph, and about
-# 4 s and 270 MB on a 500- or 900-vertex path.
-RECURSION_MEMO_CAP = 1 << 22
 
 
 class SetSystem(_Value):

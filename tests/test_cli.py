@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,9 @@ def test_matrix_round_trip_with_fractions():
     text = "field q\na b\n1/2 -3/4\n0 7\n"
     A = parse_matrix(text)
     assert format_matrix(A) == text
+    # A p/q token reads as Fraction(tok) would: reduced, signed, leading zeros dropped.
+    for tok in ("1/2", "-3/4", "3/6", "-4/2", "0/7", "007/010", "-0/3"):
+        assert parse_matrix(f"field q\na\n{tok}\n").entry("a", "a") == Fraction(tok)
 
 
 def test_matrix_parse_respects_given_label_order():
@@ -275,6 +279,10 @@ def test_interlace_single_methods(graph_file, capsys, method):
 def test_overlap_command(capsys):
     assert main(["overlap", "--dos", "1212"]) == 0
     assert capsys.readouterr().out == "graph\n1 2\n1 2\n"
+    assert main(["overlap", "--dos", "146543625123"]) == 0
+    assert capsys.readouterr().out == (
+        "graph\n1 2 3 4 5 6\n1 2\n1 3\n2 5\n3 5\n3 6\n4 5\n4 6\n5 6\n"
+    )
 
 
 def test_walks_command(capsys):

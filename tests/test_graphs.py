@@ -7,6 +7,7 @@ from pivotpoly import (
     Matrix,
     OrbitOverflowError,
     PivotUndefinedError,
+    SetSystem,
     SubsetMask,
     edge_complement,
     edges_of,
@@ -471,6 +472,13 @@ def test_orbit_command_builds_no_per_graph_objects(tmp_path, monkeypatch, capsys
 def test_graph_rebuilt_from_its_set_system():
     G = pivot_pair_left()
     assert graph_from_set_system(set_system_of(G)) == G
+
+
+def test_graph_rebuilt_from_a_set_system_on_an_unsorted_domain():
+    # Masks index the set system's own domain; the graph comes out sorted.
+    G = graph_from_set_system(SetSystem(("b", "a"), frozenset({0, 1, 3})))
+    assert G.domain == ("a", "b")
+    assert edges_of(G) == (("a", "b"), ("b", "b"))
 
 
 def test_reconstruction_of_discrete_graph():

@@ -571,6 +571,19 @@ def test_random_draws_share_one_stream():
         rng = random.Random(5)
         assert random_matrix(rng, field, 3).to_entries() == expected
         assert random_vector(rng, field, 3) == vector
+    # A graph draws one randrange(2) per pair i <= j, row by row, and mirrors it.
+    for n in (0, 1, 3, 9):
+        ref = random.Random(5)
+        rows = [0] * n
+        for i in range(n):
+            for j in range(i, n):
+                if ref.randrange(2):
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        rng = random.Random(5)
+        G = random_graph(rng, n)
+        assert (G.domain, G.rows) == (labels_for(n), tuple(rows))
+        assert rng.random() == ref.random()
     for n in (0, 1, 3):
         with pytest.raises(ValueError, match="unknown field 'z'"):
             random_matrix(random.Random(1), "z", n)
