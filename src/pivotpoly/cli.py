@@ -20,11 +20,11 @@ from . import graphs
 from .graphs import OrbitOverflowError
 from .formats import (
     FormatError,
+    _partition_lines,
     format_graph,
     format_matrix,
     format_norm,
     format_orbit_blocks,
-    format_partition_sequence,
     parse_graph,
     parse_matrix,
 )
@@ -162,7 +162,7 @@ def _cmd_pseq(args) -> int:
     if args.norm_only:
         print(f"norm: {format_norm(setsystems.nullity_histogram(A))}")
     else:
-        print(format_partition_sequence(setsystems.partition_sequence_of(A)), end="")
+        sys.stdout.writelines(_partition_lines(setsystems.partition_sequence_of(A)))
     return 0
 
 

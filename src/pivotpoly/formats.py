@@ -182,11 +182,18 @@ def _label_table(labels) -> list[str]:
 
 
 def format_partition_sequence(P: PartitionSequence) -> str:
-    """One line per nonempty class, then the norm vector.
+    """One line per nonempty class, then the norm vector."""
+    return "".join(_partition_lines(P))
+
+
+def _partition_lines(P: PartitionSequence):
+    """Yield the lines of :func:`format_partition_sequence` one at a time.
 
     Class members print as sorted label sets ordered by mask value.  A
     mask's labels join one table entry for its low half of the domain and
-    one for its high half, so no per-subset object is built.
+    one for its high half, so no per-subset object is built.  Each class
+    line is built only when it is yielded, so a listing written line by
+    line never holds its whole text at once.
     """
     n = len(P.domain)
     low = _label_table(P.domain[: n // 2])
@@ -195,6 +202,7 @@ def format_partition_sequence(P: PartitionSequence) -> str:
     names = ("{" + (lo + hi)[:-1] + "}" for hi in high for lo in low)
     for k, name in zip(P.nullities, names):
         buckets[k].append(name)
-    lines = [f"{i}: {{{','.join(b)}}}" for i, b in enumerate(buckets) if b]
-    lines.append(f"norm: {format_norm(len(b) for b in buckets)}")
-    return "\n".join(lines) + "\n"
+    for i, b in enumerate(buckets):
+        if b:
+            yield f"{i}: {{{','.join(b)}}}\n"
+    yield f"norm: {format_norm(len(b) for b in buckets)}\n"

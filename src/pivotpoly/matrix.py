@@ -379,13 +379,16 @@ def f2_subset_nullities(rows: Sequence[int]) -> list[int]:
     n(A[X]) is the nullity of A with each row i outside X replaced by e_i,
     so a depth-first walk over labels 0..n-1 picks one row per level, e_i
     or A_i, and every candidate row is known in advance.  The walk carries
-    the candidates still to come as a flat pending list [e_i, A_i, e_{i+1},
-    A_{i+1}, ...], each already reduced on every pivot column of the rows
-    picked so far.  A zero candidate adds one to the running nullity and
-    the rest of the list passes down unchanged.  A nonzero candidate v
-    takes its lowest bit h as pivot, and each later row w becomes w ^ v if
-    it has bit h, so the child's list is reduced on h too.  The last two
-    levels are unrolled, so each leaf costs a zero test.
+    the candidates still to come, e_i, A_i, e_{i+1}, A_{i+1}, ..., packed
+    n bits a row into one int with e_i lowest, each reduced on every pivot
+    column of the rows picked so far.  A zero candidate adds one to the
+    running nullity and passes the rest, ``pending >> 2n``, down as it is.
+    A nonzero candidate v takes its lowest bit s as pivot, and every later
+    row w with bit s becomes w ^ v: ``rest ^ (rest >> s & base) * v``,
+    where ``base`` has a 1 at the low bit of each row of ``rest``.  The
+    mask leaves each row 0 or 1, so the product puts 0 or v < 2^n in each
+    row and never carries into the next.  The last two levels are
+    unrolled, so each leaf costs a zero test.
 
     Why a zero test suffices: every picked row vanishes on all earlier
     pivots, so the picked rows are in echelon form and any nonzero vector
@@ -401,11 +404,13 @@ def f2_subset_nullities(rows: Sequence[int]) -> list[int]:
         return out
     last = n - 2
     below, top = 1 << last, 1 << (n - 1)
+    low, pair = (1 << n) - 1, 2 * n
+    bases = [((1 << pair * k) - 1) // low for k in range(n - 1, 0, -1)]
 
-    def walk(i: int, mask: int, nul: int, pending: list[int]) -> None:
+    def walk(i: int, mask: int, nul: int, pending: int) -> None:
         if i == last:
-            a, b, c, d = pending
-            for m, v in ((mask, a), (mask | below, b)):
+            c, d = pending >> pair & low, pending >> 3 * n
+            for m, v in ((mask, pending & low), (mask | below, pending >> n & low)):
                 if v:
                     h = v & -v
                     out[m] = nul + (not (c ^ v if c & h else c))
@@ -414,23 +419,24 @@ def f2_subset_nullities(rows: Sequence[int]) -> list[int]:
                     out[m] = nul + 1 + (not c)
                     out[m | top] = nul + 1 + (not d)
             return
-        rest = pending[2:]
-        for m, v in ((mask, pending[0]), (mask | 1 << i, pending[1])):
+        rest, base = pending >> pair, bases[i]
+        for m, v in ((mask, pending & low), (mask | 1 << i, pending >> n & low)):
             if v:
-                h = v & -v
-                walk(i + 1, m, nul, [w ^ v if w & h else w for w in rest])
+                s = (v & -v).bit_length() - 1
+                walk(i + 1, m, nul, rest ^ (rest >> s & base) * v)
             else:
                 walk(i + 1, m, nul + 1, rest)
 
-    walk(0, 0, 0, [x for i, r in enumerate(rows) for x in (1 << i, r)])
+    walk(0, 0, 0, sum((1 << i | r << n) << pair * i for i, r in enumerate(rows)))
     return out
 
 
 # The histogram walk memoises the subtrees rooted in its last levels, and
 # this bounds the entries its memo holds.  Past the bound it stops
-# inserting and keeps walking.  A random n = 18 matrix fills about 27 000
-# entries and the call peaks at 6.8 MiB (tracemalloc); random matrices
-# from n = 20 to the enumeration cap fill the memo and peak at 16-18 MiB.
+# inserting and keeps walking.  A random n = 18 matrix fills 26 000-29 000
+# entries and the call peaks at 3.4 MiB (tracemalloc); from n = 20 to the
+# enumeration cap, random matrices and graphs fill 44 000 entries or more,
+# most of them the whole bound, and peak at 7.3-8.2 MiB.
 _HISTOGRAM_MEMO_ENTRIES = 1 << 16
 _HISTOGRAM_MEMO_LEVELS = 5
 
@@ -438,15 +444,18 @@ _HISTOGRAM_MEMO_LEVELS = 5
 def f2_nullity_histogram(rows: Sequence[int]) -> tuple[int, ...]:
     """How many masks X give A[X] over GF(2) each nullity 0..n.
 
-    The walk of :func:`f2_subset_nullities`, returning counts instead of a
-    mask-indexed list.  Each subtree returns its counts relative to the
-    running nullity, packed into one int with W = n + 1 bits per class (a
-    subtree holds at most 2^n subsets): a zero candidate shifts its
-    child's counts up by W bits, and siblings add.  By the echelon
-    argument there, a subtree's counts depend only on its pending list, so
-    subtrees in the last levels are memoised by that list.  Deep levels
-    repeat a lot: on random n = 18 matrices the 2^17 nodes of level 17
-    held 200-215 distinct lists.
+    The walk of :func:`f2_subset_nullities` on the same packed list,
+    returning counts instead of a mask-indexed list.  Each subtree returns
+    its counts relative to the running nullity, packed into one int with
+    W = n + 1 bits per class (a subtree holds at most 2^n subsets): a zero
+    candidate shifts its child's counts up by W bits, and siblings add.  By
+    the echelon argument there, a subtree's counts depend only on its
+    pending list, so subtrees in the last levels are memoised by that int.
+    A 1 above the top row marks the level, since the rows of two levels
+    can pack to one int when the extra rows have all reduced to zero; no
+    ``base`` reaches it, so no reduction moves it.
+    Deep levels repeat a lot: on three random n = 18 matrices the 2^16
+    nodes of level 16 held 1 964-2 272 distinct lists.
     """
     n = len(rows)
     if not n:
@@ -458,18 +467,19 @@ def f2_nullity_histogram(rows: Sequence[int]) -> tuple[int, ...]:
     last = n - 2
     deep = n - _HISTOGRAM_MEMO_LEVELS
     room = _HISTOGRAM_MEMO_ENTRIES
-    memo: dict[tuple[int, ...], int] = {}
+    memo: dict[int, int] = {}
+    low, pair = (1 << n) - 1, 2 * n
+    bases = [((1 << pair * k) - 1) // low for k in range(n - 1, 0, -1)]
 
-    def walk(i: int, pending: list[int]) -> int:
+    def walk(i: int, pending: int) -> int:
         if i >= deep:
-            key = tuple(pending)
-            t = memo.get(key)
+            t = memo.get(pending)
             if t is not None:
                 return t
         t = 0
         if i == last:
-            a, b, c, d = pending
-            for v in (a, b):
+            c, d = pending >> pair & low, pending >> 3 * n & low
+            for v in (pending & low, pending >> n & low):
                 if v:
                     h = v & -v
                     t += 1 if (c ^ v if c & h else c) else one
@@ -477,20 +487,19 @@ def f2_nullity_histogram(rows: Sequence[int]) -> tuple[int, ...]:
                 else:
                     t += (one if c else two) + (one if d else two)
         else:
-            rest = pending[2:]
-            for v in (pending[0], pending[1]):
+            rest, base = pending >> pair, bases[i]
+            for v in (pending & low, pending >> n & low):
                 if v:
-                    h = v & -v
-                    t += walk(i + 1, [w ^ v if w & h else w for w in rest])
+                    s = (v & -v).bit_length() - 1
+                    t += walk(i + 1, rest ^ (rest >> s & base) * v)
                 else:
                     t += walk(i + 1, rest) << width
         if i >= deep and len(memo) < room:
-            memo[key] = t
+            memo[pending] = t
         return t
 
-    t = walk(0, [x for i, r in enumerate(rows) for x in (1 << i, r)])
-    low = one - 1
-    return tuple(t >> (width * k) & low for k in range(n + 1))
+    t = walk(0, sum((1 << i | r << n) << pair * i for i, r in enumerate(rows)) | 1 << pair * n)
+    return tuple(t >> (width * k) & (one - 1) for k in range(n + 1))
 
 
 def f2_pivot_rows(rows: Sequence[int], bits: int) -> "tuple[int, ...] | None":
@@ -523,6 +532,11 @@ def f2_rank_det(rows: Sequence[int]) -> tuple[int, int]:
     """(rank, determinant) of a square GF(2) matrix, by :func:`f2_rank_rows`."""
     rnk = f2_rank_rows(rows)
     return rnk, int(rnk == len(rows))
+
+
+def f2_subset_rank(rows: Sequence[int], bits: int) -> int:
+    """Rank of the principal submatrix on mask ``bits``, from its rows masked, not compacted."""
+    return f2_rank_rows(r & bits for r in mask_items(rows, bits))
 
 
 def f2_submatrix_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple[int, ...]:
@@ -675,6 +689,11 @@ def q_submatrix_rows(rows: Sequence[Sequence[Fraction]], idx: Sequence[int]) -> 
     return tuple(tuple(rows[i][j] for j in idx) for i in idx)
 
 
+def q_subset_rank(rows: Sequence[Sequence[Fraction]], bits: int) -> int:
+    """Rank of the principal submatrix on mask ``bits``."""
+    return q_rank_det(q_submatrix_rows(rows, tuple(mask_items(range(len(rows)), bits))))[0]
+
+
 # ---------------------------------------------------------------------------
 # Operations on Matrix values.
 
@@ -687,16 +706,19 @@ class FieldKernels(_Value):
     """
 
     __slots__ = (
-        "rank_det", "submatrix_rows", "pivot_rows", "subset_nullities", "nullity_histogram"
+        "rank_det", "subset_rank", "submatrix_rows", "pivot_rows", "subset_nullities",
+        "nullity_histogram",
     )
 
 
 KERNELS = {
     GF2: FieldKernels(
-        f2_rank_det, f2_submatrix_rows, f2_pivot_rows, f2_subset_nullities, f2_nullity_histogram
+        f2_rank_det, f2_subset_rank, f2_submatrix_rows, f2_pivot_rows, f2_subset_nullities,
+        f2_nullity_histogram,
     ),
     RATIONAL: FieldKernels(
-        q_rank_det, q_submatrix_rows, q_pivot_rows, q_subset_nullities, q_nullity_histogram
+        q_rank_det, q_subset_rank, q_submatrix_rows, q_pivot_rows, q_subset_nullities,
+        q_nullity_histogram,
     ),
 }
 
@@ -736,9 +758,7 @@ def nullity_by_bits(A: Matrix, bits: int) -> int:
     :func:`q_subset_nullities`.  A mask outside the domain raises
     ``ValueError``.
     """
-    idx = SubsetMask(A.domain, bits).indices()
-    kernels = KERNELS[A.field]
-    return len(idx) - kernels.rank_det(kernels.submatrix_rows(A.rows, idx))[0]
+    return len(SubsetMask(A.domain, bits)) - KERNELS[A.field].subset_rank(A.rows, bits)
 
 
 def determinant(A: Matrix):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from collections import Counter
@@ -391,8 +392,10 @@ def test_enumeration_cap_is_enforced():
 
 # --- the GF(2) histogram walk -------------------------------------------------------------
 
-def _histogram_of_sweep(A):
-    counts = Counter(subset_nullities(A))
+@functools.cache
+def _reference_histogram(A):
+    """Class sizes of the entrywise elimination oracle, shared by every memo bound."""
+    counts = Counter(subset_nullities_by_elimination(A))
     return tuple(counts[k] for k in range(A.n + 1))
 
 
@@ -416,17 +419,17 @@ def test_histogram_walk_on_every_small_gf2_matrix(memo_bound):
         for bits in range(1 << (n * n)):
             entries = [[bits >> (i * n + j) & 1 for j in range(n)] for i in range(n)]
             A = Matrix.from_entries(GF2, labels_for(n), entries)
-            assert nullity_histogram(A) == _histogram_of_sweep(A), entries
+            assert nullity_histogram(A) == _reference_histogram(A), entries
             count += 1
     assert count == 531
 
 
 def test_histogram_walk_on_random_matrices_and_graphs(memo_bound):
     rng = random.Random(53)
-    for n in range(13):
-        for _ in range(4 if n < 10 else 2):
+    for n in range(11):
+        for _ in range(4):
             for A in (random_matrix(rng, GF2, n), random_graph(rng, n)):
-                assert nullity_histogram(A) == _histogram_of_sweep(A), (n, A.rows)
+                assert nullity_histogram(A) == _reference_histogram(A), (n, A.rows)
 
 
 def test_histogram_walk_on_leaf_special_cases(memo_bound):
@@ -434,7 +437,39 @@ def test_histogram_walk_on_leaf_special_cases(memo_bound):
     for n in range(2, 11):
         for case, entries in _leaf_cases(rng, GF2, n):
             A = Matrix.from_entries(GF2, labels_for(n), entries)
-            assert nullity_histogram(A) == _histogram_of_sweep(A), (n, case)
+            assert nullity_histogram(A) == _reference_histogram(A), (n, case)
+
+
+def _packing_boundary_cases(rng, n):
+    """GF(2) entries that set the bits at the edges of the walks' packed
+    rows (n bits a row, e_0 lowest) or make two levels pack alike.  At
+    n = 2 the root is the unrolled level."""
+    def with_row(i, row):
+        entries = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+        entries[i] = row
+        return entries
+
+    yield "ones", [[1] * n for _ in range(n)]
+    for i in range(n):
+        yield f"row {i} is e_{n - 1}", with_row(i, [int(j == n - 1) for j in range(n)])
+    yield f"top row has bit {n - 1}", with_row(n - 1, [rng.randrange(2) for _ in range(n - 1)] + [1])
+    # The first half of the rows are the highest units and the rest repeat
+    # the lowest of them.  Picking the first n // 2 rows reduces every row
+    # still to come to zero, and so does picking one more: from n = 6 on,
+    # two levels then hold the same (zero) packed list.
+    h = n // 2
+    yield "two levels pack alike", [
+        [int(j == (n - 1 - i if i < h else n - h)) for j in range(n)] for i in range(n)
+    ]
+
+
+def test_histogram_walk_at_the_packing_boundaries(memo_bound):
+    rng = random.Random(71)
+    for n in range(2, 11):
+        for case, entries in _packing_boundary_cases(rng, n):
+            A = Matrix.from_entries(GF2, labels_for(n), entries)
+            assert nullity_histogram(A) == _reference_histogram(A), (n, case)
+            assert subset_nullities(A) == subset_nullities_by_elimination(A), (n, case)
 
 
 @pytest.mark.parametrize("levels", [0, 1, 3, 64])
@@ -444,7 +479,7 @@ def test_histogram_walk_at_every_memo_depth(levels, monkeypatch):
     rng = random.Random(61)
     for n in range(11):
         for A in (random_matrix(rng, GF2, n), random_graph(rng, n)):
-            assert nullity_histogram(A) == _histogram_of_sweep(A), (levels, n)
+            assert nullity_histogram(A) == _reference_histogram(A), (levels, n)
 
 
 def test_histogram_consumers_build_no_mask_list(monkeypatch, capsys):
