@@ -20,6 +20,7 @@ _EXPORTS = {
         "RATIONAL",
         "Matrix",
         "SubsetMask",
+        "SetSystem",
         "SingularMatrixError",
         "PivotUndefinedError",
         "principal_submatrix",
@@ -42,7 +43,6 @@ _EXPORTS = {
         "pivot_composition",
     ),
     "setsystems": (
-        "SetSystem",
         "PartitionSequence",
         "set_system_of",
         "partition_sequence_of",

@@ -14,6 +14,7 @@ from .matrix import (
     GF2,
     Matrix,
     PivotUndefinedError,
+    SetSystem,
     SubsetMask,
     _Value,
     check_labels,
@@ -116,9 +117,15 @@ def edge_complement(G: Matrix, u: str, v: str) -> Matrix:
     return Matrix(GF2, G.domain, _elementary_pivot_rows(G.rows, (1 << i) | (1 << j)))
 
 
-def _elementary_pivot_rows(rows: tuple[int, ...], part: int) -> tuple[int, ...]:
+def _elementary_pivot_rows(
+    rows: tuple[int, ...], part: int, keep: int | None = None
+) -> tuple[int, ...]:
     """G*X on packed graph rows for an applicable elementary pivot X: every
-    vertex of a class toggles its adjacencies to the class's partners."""
+    vertex of a class toggles its adjacencies to the class's partners.
+
+    With ``keep`` given, only the rows and columns of the first ``keep``
+    vertices are built: G*X with every later vertex deleted.
+    """
     i = (part & -part).bit_length() - 1
     j = part.bit_length() - 1
     if i == j:
@@ -131,9 +138,14 @@ def _elementary_pivot_rows(rows: tuple[int, ...], part: int) -> tuple[int, ...]:
         only_v = closed_v & ~closed_u
         both = closed_u & closed_v
         classes = ((only_u, only_v | both), (only_v, only_u | both), (both, only_u | only_v))
-    out = list(rows)
+    if keep is None:
+        out, low = list(rows), -1
+    else:
+        low = (1 << keep) - 1
+        out = [r & low for r in rows[:keep]]
     for cls, others in classes:
-        m = cls
+        m = cls & low
+        others &= low
         while m:
             x = (m & -m).bit_length() - 1
             out[x] ^= others

@@ -4,8 +4,8 @@ The nullity polynomial of a matrix sums y^(nullity of A[S]) over all subsets
 S, so its coefficient vector is exactly the norm of the partition sequence.
 The interlace polynomial is the same sum with base y-1; substituting the
 variable converts one into the other.  For graphs there is additionally a
-deletion recursion driven by the elementary pivots, evaluated here as an
-independent second method.
+deletion recursion, q(G) = q(G - u) + q(G*X - u) for the last vertex u and a
+nonsingular X that holds it, evaluated here as an independent second method.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ import sys
 from collections.abc import Sequence
 from operator import add
 
-from .graphs import _elementary_parts, _elementary_pivot_rows, require_graph
+from .graphs import _elementary_pivot_rows, require_graph
 from .matrix import Matrix, SubsetMask, _Value, delete_label
 from .pivot import pivot
-from .setsystems import nullity_histogram
 
 __all__ = [
     "RECURSION_MEMO_CAP",
@@ -34,8 +33,10 @@ __all__ = [
 # and this cap bounds the rows its memo stores over all entries.  Rows, not
 # entries: a subgraph's key and coefficients grow with its size, so on long
 # paths one entry holds hundreds of rows.  A call that reaches the cap has
-# run about 6 s and peaked near 160 MB on a dense 40-vertex graph, and about
-# 4 s and 270 MB on a 500- or 900-vertex path.
+# run about 4 s and peaked near 160 MB on a random graph of 26 to 40
+# vertices.  Paths no longer reach it: their memo holds about n^2 / 2 rows,
+# 0.49 M at 990 vertices (0.2 s, 75 MB), and a path of 1 000 vertices
+# already runs past Python's recursion limit.
 RECURSION_MEMO_CAP = 1 << 22
 
 
@@ -134,6 +135,8 @@ def nullity_polynomial(A: Matrix) -> Poly:
     Coefficient i counts the subsets of nullity i, so the coefficients are
     non-negative and total 2^n.
     """
+    from .setsystems import nullity_histogram
+
     return Poly.of(nullity_histogram(A))
 
 
@@ -155,21 +158,26 @@ def nullity_from_interlace(p: Poly) -> Poly:
 def interlace_recursive(G: Matrix) -> Poly:
     """Evaluate the interlace polynomial of a graph by deletion recursion.
 
-    A discrete graph on n vertices contributes y^n.  Otherwise X is the
-    first elementary pivot (the smallest looped vertex, else the smallest
-    edge between loopless vertices), u is the smallest vertex of X, and
-    q(G) = q(G - u) + q(G*X - u).
+    The recursion always removes the last vertex u.  For any X that holds u
+    with G[X] nonsingular, q(G) = q(G - u) + q(G*X - u), and X is chosen as
+    follows: {u} if u is looped, else {u, v} for the highest neighbour v of
+    u.  G[{u, v}] is nonsingular whether or not v is looped; when it is,
+    G*X = (G*{v})*{u}, two elementary pivots.  A trailing run of isolated
+    loopless vertices contributes y each and is stripped in one step, so a
+    discrete graph on n vertices gives y^n at once.  Deleting the last
+    vertex drops the last row and column, so every subgraph reached lives on
+    a prefix of the labels.
 
     Each call keeps a memo from packed row tuples to coefficient tuples, so
     a subgraph reached along several branches is solved once; the memo is
     dropped when the call returns.  Its size is bounded by the rows it
     stores, at most ``RECURSION_MEMO_CAP`` over all entries, past which
     ``ValueError`` is raised.  The bound is on subgraphs, not labels, so
-    sparse graphs well past ``ENUMERATION_CAP`` finish (a path on 60
-    vertices takes milliseconds).  Each branch deletes one vertex, so a
-    chain of deletions longer than Python's recursion limit also raises
-    ``ValueError``; graphs that need no deep chain (a discrete graph needs
-    none) are not limited by their size.
+    sparse graphs well past ``ENUMERATION_CAP`` finish (a path on 300
+    vertices takes about 20 ms).  Each level deletes at least one vertex,
+    so a chain of deletions longer than Python's recursion limit also
+    raises ``ValueError``; graphs that need no deep chain (a discrete graph
+    needs none) are not limited by their size.
     """
     require_graph(G)
     memo: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -177,26 +185,41 @@ def interlace_recursive(G: Matrix) -> Poly:
 
     def recurse(rows: tuple[int, ...]) -> tuple[int, ...]:
         nonlocal room
+        n = k = len(rows)
+        while k and not rows[k - 1]:
+            k -= 1
+        # The last n - k vertices are isolated and loopless: y each.
+        zeros = (0,) * (n - k)
+        if not k:
+            return zeros + (1,)
+        rows = rows[:k]
         coeffs = memo.get(rows)
-        if coeffs is not None:
-            return coeffs
-        room -= len(rows)
-        if room < 0:
-            raise ValueError(
-                f"deletion recursion exceeds the memo cap of {RECURSION_MEMO_CAP} rows"
-            )
-        part = next(_elementary_parts(rows, (1 << len(rows)) - 1), 0)
-        if not part:
-            coeffs = (0,) * len(rows) + (1,)
-        else:
-            u = (part & -part).bit_length() - 1
-            a = recurse(_delete(rows, u))
-            b = recurse(_delete(_elementary_pivot_rows(rows, part), u))
+        if coeffs is None:
+            room -= k
+            if room < 0:
+                raise ValueError(
+                    f"deletion recursion exceeds the memo cap of {RECURSION_MEMO_CAP} rows"
+                )
+            u = k - 1
+            low = (1 << u) - 1
+            a = recurse(tuple([r & low for r in rows[:u]]))
+            row = rows[u]
+            if row >> u & 1:
+                pivoted = _elementary_pivot_rows(rows, 1 << u, u)
+            else:
+                v = row.bit_length() - 1
+                if rows[v] >> v & 1:
+                    pivoted = _elementary_pivot_rows(
+                        _elementary_pivot_rows(rows, 1 << v), 1 << u, u
+                    )
+                else:
+                    pivoted = _elementary_pivot_rows(rows, (1 << u) | (1 << v), u)
+            b = recurse(pivoted)
             if len(a) < len(b):
                 a, b = b, a
             coeffs = tuple(map(add, a, b)) + a[len(b) :]
-        memo[rows] = coeffs
-        return coeffs
+            memo[rows] = coeffs
+        return zeros + coeffs
 
     try:
         return Poly.of(recurse(G.rows))
@@ -205,12 +228,6 @@ def interlace_recursive(G: Matrix) -> Poly:
             f"deletion recursion on {G.n} labels runs deeper than Python's "
             f"recursion limit of {sys.getrecursionlimit()} frames"
         ) from None
-
-
-def _delete(rows: tuple[int, ...], u: int) -> tuple[int, ...]:
-    """Packed rows without row and column u; higher columns shift down."""
-    low = (1 << u) - 1
-    return tuple((r & low) | (r >> 1 & ~low) for r in rows[:u] + rows[u + 1 :])
 
 
 def verify_recursion(A: Matrix, u: str, X: SubsetMask) -> Poly:

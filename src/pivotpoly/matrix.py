@@ -29,6 +29,7 @@ __all__ = [
     "SingularMatrixError",
     "PivotUndefinedError",
     "SubsetMask",
+    "SetSystem",
     "Matrix",
     "check_labels",
     "check_same_domain",
@@ -223,6 +224,28 @@ class SubsetMask(_Value):
 
     def __str__(self) -> str:
         return "{" + ",".join(self.labels()) + "}"
+
+
+# A value type beside SubsetMask, so that graphs can name it without
+# loading the sweeps in setsystems.
+class SetSystem(_Value):
+    """A family of subsets of a common domain, stored as bitmasks."""
+
+    __slots__ = ("domain", "members")
+    domain: tuple[str, ...]
+    members: frozenset[int]
+
+    def __post_init__(self):
+        limit = 1 << len(self.domain)
+        if any(not 0 <= m < limit for m in self.members):
+            raise ValueError("member mask does not fit the domain")
+
+    def __contains__(self, X: SubsetMask) -> bool:
+        check_same_domain(self, X)
+        return X.bits in self.members
+
+    def __len__(self) -> int:
+        return len(self.members)
 
 
 class Matrix(_Value):

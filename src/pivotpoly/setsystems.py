@@ -9,7 +9,15 @@ sizes, which is what makes the norm vector a pivot invariant.
 
 from __future__ import annotations
 
-from .matrix import KERNELS, Matrix, SubsetMask, _class_sizes, _Value, check_same_domain
+from .matrix import (
+    KERNELS,
+    Matrix,
+    SetSystem,
+    SubsetMask,
+    _class_sizes,
+    _Value,
+    check_same_domain,
+)
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -36,26 +44,6 @@ __all__ = [
 # and 4-8 s at the cap, same host), and its memo's entry bound bounds its
 # memory.
 ENUMERATION_CAP = 24
-
-
-class SetSystem(_Value):
-    """A family of subsets of a common domain, stored as bitmasks."""
-
-    __slots__ = ("domain", "members")
-    domain: tuple[str, ...]
-    members: frozenset[int]
-
-    def __post_init__(self):
-        limit = 1 << len(self.domain)
-        if any(not 0 <= m < limit for m in self.members):
-            raise ValueError("member mask does not fit the domain")
-
-    def __contains__(self, X: SubsetMask) -> bool:
-        check_same_domain(self, X)
-        return X.bits in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 class PartitionSequence(_Value):

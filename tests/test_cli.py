@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -689,16 +690,23 @@ def test_lazy_package_binds_the_same_names_as_an_eager_one():
     assert facts["missing"] == "module 'pivotpoly' has no attribute 'no_such_name'"
 
 
-def test_nullity_command_imports_only_what_it_runs(tmp_path):
-    path = tmp_path / "one.mat"
-    path.write_text("field f2\na\n1\n")
-    out = _fresh_interpreter(
+def _modules_loaded_by(argv: list[str]) -> str:
+    """Stdout of ``cli.main(argv)`` in a fresh interpreter, followed by its
+    exit code, the pivotpoly modules it loaded and whether it loaded
+    dataclasses."""
+    return _fresh_interpreter(
         "import sys\n"
         "from pivotpoly import cli\n"
-        f"code = cli.main(['nullity', '--matrix', {str(path)!r}])\n"
+        f"code = cli.main({argv!r})\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'pivotpoly'),"
         " 'dataclasses' in sys.modules)\n"
     )
+
+
+def test_nullity_command_imports_only_what_it_runs(tmp_path):
+    path = tmp_path / "one.mat"
+    path.write_text("field f2\na\n1\n")
+    out = _modules_loaded_by(["nullity", "--matrix", str(path)])
     expected = [
         "pivotpoly",
         "pivotpoly.cli",
@@ -708,6 +716,29 @@ def test_nullity_command_imports_only_what_it_runs(tmp_path):
         "pivotpoly.pivot",
     ]
     assert out == f"0\n0 {expected} False\n"
+
+
+def test_recursive_interlace_loads_no_sweep_module(tmp_path):
+    path = tmp_path / "edge.graph"
+    path.write_text(format_graph(path_graph(2)))
+    out = _modules_loaded_by(["interlace", "--graph", str(path), "--method", "recursive"])
+    expected = [
+        "pivotpoly",
+        "pivotpoly.cli",
+        "pivotpoly.formats",
+        "pivotpoly.graphs",
+        "pivotpoly.interlace",
+        "pivotpoly.matrix",
+        "pivotpoly.pivot",
+    ]
+    assert out == f"q': 2 2\nq: 0 2\n0 {expected} False\n"
+
+
+def test_every_public_callable_has_resolvable_type_hints():
+    for name in pivotpoly.__all__:
+        value = getattr(pivotpoly, name)
+        if callable(value):
+            typing.get_type_hints(value)
 
 
 def test_sweeps_past_the_enumeration_cap_fail_fast(tmp_path):
@@ -726,10 +757,10 @@ def test_sweeps_past_the_enumeration_cap_fail_fast(tmp_path):
 
 def test_recursion_past_its_memo_cap_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(interlace, "RECURSION_MEMO_CAP", 100)
-    # The recursion's memo on a path of 12 labels holds 273 rows; under
+    # The recursion's memo on a path of 16 labels holds 135 rows; under
     # "both" the sweep runs first and passes.
-    path = tmp_path / "path12.graph"
-    path.write_text(format_graph(path_graph(12)))
+    path = tmp_path / "path16.graph"
+    path.write_text(format_graph(path_graph(16)))
     for method in ("recursive", "both"):
         assert main(["interlace", "--graph", str(path), "--method", method]) == 2
         captured = capsys.readouterr()

@@ -202,17 +202,17 @@ def test_path_closed_form_matches_the_sweep():
 
 def test_recursion_memo_solves_long_paths(monkeypatch):
     # Without a memo the recursion on P_n makes Fibonacci-many kernel calls;
-    # with one it makes n^2 / 4, so P_60 stays under the budget.  Equal
+    # with one it makes n - 1, so P_60 stays under the budget.  Equal
     # counts on a repeated call show the memo does not outlive a call.
     budget = 1000
     calls = [0]
     real = interlace_module._elementary_pivot_rows
 
-    def counting(rows, part):
+    def counting(rows, part, keep=None):
         calls[0] += 1
         if calls[0] > budget:
             raise AssertionError(f"more than {budget} elementary pivots in one call")
-        return real(rows, part)
+        return real(rows, part, keep)
 
     monkeypatch.setattr(interlace_module, "_elementary_pivot_rows", counting)
     for n, q in enumerate(path_polynomials(61)):
@@ -225,11 +225,94 @@ def test_recursion_memo_solves_long_paths(monkeypatch):
 
 
 def test_recursion_memo_cap(monkeypatch):
-    # The memo of P_8 holds 90 rows, that of P_12 273.
+    # The memo of P_n holds P_2 .. P_n: 35 rows for P_8, 135 for P_16.
     monkeypatch.setattr(interlace_module, "RECURSION_MEMO_CAP", 100)
     assert interlace_recursive(path_graph(8)) == path_polynomials(9)[8]
     with pytest.raises(ValueError, match="memo cap of 100 rows"):
-        interlace_recursive(path_graph(12))
+        interlace_recursive(path_graph(16))
+
+
+def test_recursion_matches_the_path_recurrence_up_to_200_vertices():
+    for n, q in enumerate(path_polynomials(201)):
+        assert interlace_recursive(path_graph(n)) == q
+
+
+def graph_on_rows(rows):
+    """The graph whose packed rows are ``rows``, on labels that sort in index order."""
+    labels = [f"v{i:02d}" for i in range(len(rows))]
+    return Matrix(GF2, tuple(labels), tuple(rows))
+
+
+def with_last_vertex(rng, n, loop, neighbours_looped):
+    """A random graph on n vertices whose last vertex has a loop or not, and
+    whose neighbours (at least one) all have a loop when ``neighbours_looped``."""
+    rows = list(random_graph(rng, n).rows)
+    u = n - 1
+    hood = rng.randrange(1, 1 << u)
+    for i in range(u):
+        rows[i] = rows[i] & ~(1 << u) | (hood >> i & 1) << u
+        if neighbours_looped and hood >> i & 1:
+            rows[i] |= 1 << i
+    rows[u] = hood | loop << u
+    return graph_on_rows(rows)
+
+
+def isolate(G, i):
+    """G with every edge at vertex i removed, its loop included."""
+    return graph_on_rows([0 if j == i else r & ~(1 << i) for j, r in enumerate(G.rows)])
+
+
+def test_recursion_on_a_loopless_last_vertex_with_only_looped_neighbours():
+    # X = {u, v} with v looped: G*X = (G*{v})*{u}, two elementary pivots.
+    rng = random.Random(71)
+    for _ in range(60):
+        G = with_last_vertex(rng, rng.randint(2, 9), 0, True)
+        u = G.n - 1
+        assert not G.entry_at(u, u)
+        assert all(G.entry_at(i, i) for i in range(u) if G.entry_at(i, u))
+        assert interlace_recursive(G) == interlace_polynomial(G)
+
+
+def test_recursion_on_a_looped_last_vertex():
+    rng = random.Random(72)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        G = with_last_vertex(rng, n, 1, rng.randrange(2)) if n > 1 else graph_on_rows([1])
+        assert G.entry_at(G.n - 1, G.n - 1)
+        assert interlace_recursive(G) == interlace_polynomial(G)
+
+
+def test_recursion_strips_a_trailing_run_of_isolated_vertices():
+    rng = random.Random(73)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        G = random_graph(rng, n)
+        for i in range(n - rng.randint(1, n), n):
+            G = isolate(G, i)
+        assert not G.rows[-1]
+        assert interlace_recursive(G) == interlace_polynomial(G)
+
+
+def test_recursion_with_a_vertex_isolated_in_the_middle():
+    rng = random.Random(74)
+    for _ in range(60):
+        n = rng.randint(3, 10)
+        G = isolate(random_graph(rng, n), rng.randrange(1, n - 1))
+        assert interlace_recursive(G) == interlace_polynomial(G)
+
+
+def test_recursion_finishes_a_long_matching_and_a_large_discrete_graph():
+    # A matching's chain of deletions is one level per edge, and the
+    # isolated vertices each deletion leaves are stripped in that level;
+    # a discrete graph is stripped at once.
+    labels = [f"v{i:04d}" for i in range(1200)]
+    for edges in (
+        [(labels[2 * i], labels[2 * i + 1]) for i in range(600)],
+        [(labels[i], labels[i + 600]) for i in range(600)],
+    ):
+        assert interlace_recursive(graph_from_edges(labels, edges)) == Poly.monomial(600, 2**600)
+    discrete = Matrix.zeros(GF2, [f"v{i:04d}" for i in range(2000)])
+    assert interlace_recursive(discrete) == Poly.monomial(2000)
 
 
 def test_recursion_rejects_non_graphs():
