@@ -62,7 +62,10 @@ def _split_labels(arg: str) -> list[str]:
     arg = arg.strip()
     if not arg:
         return []
-    return [tok for tok in arg.split(",") if tok]
+    labels = arg.split(",")
+    if "" in labels:
+        raise argparse.ArgumentTypeError(f"empty label in {arg!r}")
+    return labels
 
 
 def _read(path: str) -> str:
@@ -102,11 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pivot", help="pivot a matrix on a label subset")
     sp.add_argument("--matrix", required=True, metavar="FILE")
-    sp.add_argument("--on", required=True, metavar="LABELS", help="comma-separated labels")
+    sp.add_argument("--on", required=True, type=_split_labels, metavar="LABELS", help="comma-separated labels")
 
     sp = sub.add_parser("nullity", help="nullity of a matrix or principal submatrix")
     sp.add_argument("--matrix", required=True, metavar="FILE")
-    sp.add_argument("--subset", metavar="LABELS")
+    sp.add_argument("--subset", type=_split_labels, metavar="LABELS")
 
     sp = sub.add_parser("pseq", help="partition sequence of a matrix")
     sp.add_argument("--matrix", required=True, metavar="FILE")
@@ -121,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("walks", help="closed-walk partition induced by a flip set")
     sp.add_argument("--dos", required=True, metavar="STRING")
-    sp.add_argument("--flip", required=True, metavar="LABELS")
+    sp.add_argument("--flip", required=True, type=_split_labels, metavar="LABELS")
 
     sp = sub.add_parser("distribution", help="walk-count distribution over all flip sets")
     sp.add_argument("--dos", required=True, metavar="STRING")
@@ -141,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pivot(args) -> int:
     A = parse_matrix(_read(args.matrix))
-    X = SubsetMask.of(A.domain, _split_labels(args.on))
+    X = SubsetMask.of(A.domain, args.on)
     print(format_matrix(pivot(A, X)), end="")
     return 0
 
@@ -149,7 +152,7 @@ def _cmd_pivot(args) -> int:
 def _cmd_nullity(args) -> int:
     A = parse_matrix(_read(args.matrix))
     if args.subset is not None:
-        X = SubsetMask.of(A.domain, _split_labels(args.subset))
+        X = SubsetMask.of(A.domain, args.subset)
         A = principal_submatrix(A, X)
     print(nullity(A))
     return 0
@@ -199,7 +202,7 @@ def _cmd_walks(args) -> int:
 
     s = circuits.parse_dos(args.dos)
     domain = circuits.dos_domain(s)
-    X = SubsetMask.of(domain, _split_labels(args.flip))
+    X = SubsetMask.of(domain, args.flip)
     part = circuits.trace_partition(s, X)
     walks = len(part)
     print(f"walks: {walks}")

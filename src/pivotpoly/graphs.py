@@ -120,24 +120,27 @@ def edge_complement(G: Matrix, u: str, v: str) -> Matrix:
 def _elementary_pivot_rows(
     rows: tuple[int, ...], part: int, keep: int | None = None
 ) -> tuple[int, ...]:
-    """G*X on packed graph rows for an applicable elementary pivot X: every
-    vertex of a class toggles its adjacencies to the class's partners.
+    """G*X on packed graph rows for X a looped vertex or an edge with at most
+    one looped end: every vertex of a class toggles its adjacencies to the
+    class's partners, read off G[X]^-1 = [[b,1],[1,a]] for G[X] = [[a,1],[1,b]]
+    with the rows of X taken with their own loop bits flipped.
 
     With ``keep`` given, only the rows and columns of the first ``keep``
     vertices are built: G*X with every later vertex deleted.
     """
     i = (part & -part).bit_length() - 1
     j = part.bit_length() - 1
+    n_i = rows[i] ^ (1 << i)
     if i == j:
-        hood = rows[i] & ~part
-        classes = ((hood, hood),)
+        classes = ((n_i, n_i),)
     else:
-        closed_u = rows[i] | (1 << i)
-        closed_v = rows[j] | (1 << j)
-        only_u = closed_u & ~closed_v
-        only_v = closed_v & ~closed_u
-        both = closed_u & closed_v
-        classes = ((only_u, only_v | both), (only_v, only_u | both), (both, only_u | only_v))
+        n_j = rows[j] ^ (1 << j)
+        a, b = rows[i] >> i & 1, rows[j] >> j & 1
+        classes = (
+            (n_i & ~n_j, n_j ^ n_i if b else n_j),
+            (n_j & ~n_i, n_i ^ n_j if a else n_i),
+            (n_i & n_j, n_j if b else n_i if a else n_i ^ n_j),
+        )
     if keep is None:
         out, low = list(rows), -1
     else:

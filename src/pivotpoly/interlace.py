@@ -4,8 +4,9 @@ The nullity polynomial of a matrix sums y^(nullity of A[S]) over all subsets
 S, so its coefficient vector is exactly the norm of the partition sequence.
 The interlace polynomial is the same sum with base y-1; substituting the
 variable converts one into the other.  For graphs there is additionally a
-deletion recursion, q(G) = q(G - u) + q(G*X - u) for the last vertex u and a
-nonsingular X that holds it, evaluated here as an independent second method.
+deletion recursion, q(G) = q(G - u) + q(G*X - u) for the last vertex u and
+a nonsingular X of u and at most one neighbour (one graph pivot per step),
+evaluated here as an independent second method.
 """
 
 from __future__ import annotations
@@ -161,8 +162,8 @@ def interlace_recursive(G: Matrix) -> Poly:
     The recursion always removes the last vertex u.  For any X that holds u
     with G[X] nonsingular, q(G) = q(G - u) + q(G*X - u), and X is chosen as
     follows: {u} if u is looped, else {u, v} for the highest neighbour v of
-    u.  G[{u, v}] is nonsingular whether or not v is looped; when it is,
-    G*X = (G*{v})*{u}, two elementary pivots.  A trailing run of isolated
+    u.  G[{u, v}] is nonsingular whether or not v is looped, and G*X - u is
+    one call of the graph-pivot kernel either way.  A trailing run of isolated
     loopless vertices contributes y each and is stripped in one step, so a
     discrete graph on n vertices gives y^n at once.  Deleting the last
     vertex drops the last row and column, so every subgraph reached lives on
@@ -203,18 +204,10 @@ def interlace_recursive(G: Matrix) -> Poly:
             u = k - 1
             low = (1 << u) - 1
             a = recurse(tuple([r & low for r in rows[:u]]))
-            row = rows[u]
-            if row >> u & 1:
-                pivoted = _elementary_pivot_rows(rows, 1 << u, u)
-            else:
-                v = row.bit_length() - 1
-                if rows[v] >> v & 1:
-                    pivoted = _elementary_pivot_rows(
-                        _elementary_pivot_rows(rows, 1 << v), 1 << u, u
-                    )
-                else:
-                    pivoted = _elementary_pivot_rows(rows, (1 << u) | (1 << v), u)
-            b = recurse(pivoted)
+            # The top bit of u's row is u itself when u is looped, else its
+            # highest neighbour v: X = {u} or {u, v}.
+            part = 1 << u | 1 << (rows[u].bit_length() - 1)
+            b = recurse(_elementary_pivot_rows(rows, part, u))
             if len(a) < len(b):
                 a, b = b, a
             coeffs = tuple(map(add, a, b)) + a[len(b) :]

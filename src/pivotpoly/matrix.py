@@ -366,11 +366,7 @@ class Matrix(_Value):
                         return False
                     r ^= low
             return True
-        return all(
-            self.entry_at(i, j) == self.entry_at(j, i)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
+        return self.rows == tuple(zip(*self.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -818,8 +814,9 @@ def identity_outside(A: Matrix, X: SubsetMask) -> Matrix:
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     """Exact matrix product of two matrices over the same domain and field."""
-    if A.field != B.field or A.domain != B.domain:
-        raise ValueError("matrix product needs matching fields and domains")
+    if A.field != B.field:
+        raise ValueError(f"matrix product needs matching fields: {A.field} and {B.field}")
+    check_same_domain(A, B)
     cols = list(zip(*B.to_entries()))
     entries = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in A.to_entries()]
     if A.field == GF2:

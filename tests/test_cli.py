@@ -604,6 +604,24 @@ def test_repeated_label_is_a_usage_error(matrix_file, capsys):
         assert capsys.readouterr() == ("", f"error: label '{label}' given twice\n"), argv
 
 
+def test_empty_label_is_a_usage_error(matrix_file, capsys):
+    # Labels are matched verbatim, so an empty token is not dropped; only an
+    # empty argument as a whole means the empty subset.
+    for argv, flag in (
+        (["pivot", "--matrix", matrix_file, "--on", "a,,b"], "--on"),
+        (["pivot", "--matrix", matrix_file, "--on", "a,"], "--on"),
+        (["nullity", "--matrix", matrix_file, "--subset", ",a"], "--subset"),
+        (["walks", "--dos", "1212", "--flip", "1,"], "--flip"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {flag}: empty label in " in err, argv
+    assert main(["nullity", "--matrix", matrix_file, "--subset", ""]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_exit_code_for_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.mat"
     bad.write_text("field q\na b\n1 2\n")

@@ -28,6 +28,7 @@ from pivotpoly.cli import main
 from pivotpoly.formats import format_graph
 from pivotpoly.graphs import require_graph
 from pivotpoly.interlace import interlace_recursive
+from pivotpoly.matrix import f2_pivot_rows
 from pivotpoly.randgen import random_graph
 
 import oracles
@@ -172,6 +173,31 @@ def test_elementary_operations_match_matrix_pivot():
                 assert local_complement(G, labels[0]) == pivot(G, X)
             else:
                 assert edge_complement(G, labels[0], labels[1]) == pivot(G, X)
+
+
+def test_pivot_kernel_matches_the_matrix_pivot_on_one_or_two_vertices():
+    # Every X the kernel takes: a looped vertex, or an edge with at most one
+    # looped end (with two the block is singular).  With ``keep`` the kernel
+    # is the pivot with every later vertex deleted.
+    rng = random.Random(41)
+    one_looped_end = 0
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        rows = random_graph(rng, n).rows
+        for i in range(n):
+            for j in range(i, n):
+                if i != j and not rows[i] >> j & 1:
+                    continue
+                part = 1 << i | 1 << j
+                want = f2_pivot_rows(rows, part)
+                if want is None:
+                    continue
+                one_looped_end += i != j and rows[i] >> i & 1 != rows[j] >> j & 1
+                for keep in (None, *range(n + 1)):
+                    low = (1 << (n if keep is None else keep)) - 1
+                    got = graphs_module._elementary_pivot_rows(rows, part, keep)
+                    assert got == tuple(r & low for r in want[:keep]), (rows, part, keep)
+    assert one_looped_end > 100
 
 
 # --- decomposition --------------------------------------------------------------------

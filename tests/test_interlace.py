@@ -263,7 +263,7 @@ def isolate(G, i):
 
 
 def test_recursion_on_a_loopless_last_vertex_with_only_looped_neighbours():
-    # X = {u, v} with v looped: G*X = (G*{v})*{u}, two elementary pivots.
+    # X = {u, v} with v looped: one pivot on an edge with one looped end.
     rng = random.Random(71)
     for _ in range(60):
         G = with_last_vertex(rng, rng.randint(2, 9), 0, True)
@@ -280,6 +280,30 @@ def test_recursion_on_a_looped_last_vertex():
         G = with_last_vertex(rng, n, 1, rng.randrange(2)) if n > 1 else graph_on_rows([1])
         assert G.entry_at(G.n - 1, G.n - 1)
         assert interlace_recursive(G) == interlace_polynomial(G)
+
+
+def test_recursion_pivots_once_per_frame_with_u_deleted(monkeypatch):
+    # On a path with loops on its even vertices, every loopless u has a
+    # looped highest neighbour v; X = {u, v} is still one kernel call, which
+    # builds G*X - u directly.
+    calls = []
+    real = interlace_module._elementary_pivot_rows
+
+    def recording(rows, part, keep=None):
+        calls.append((rows, part, keep))
+        return real(rows, part, keep)
+
+    monkeypatch.setattr(interlace_module, "_elementary_pivot_rows", recording)
+    labels = [f"v{i:02d}" for i in range(12)]
+    G = graph_from_edges(
+        labels, [(a, b) for a, b in zip(labels, labels[1:])] + [(v, v) for v in labels[::2]]
+    )
+    assert interlace_recursive(G) == interlace_polynomial(G)
+    assert calls
+    for rows, part, keep in calls:
+        u = len(rows) - 1
+        assert keep == u and part >> u & 1
+        assert part.bit_count() <= 2 and not part & ~rows[u] & ~(1 << u)
 
 
 def test_recursion_strips_a_trailing_run_of_isolated_vertices():

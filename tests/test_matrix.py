@@ -470,8 +470,11 @@ def test_mat_mul_identity_and_mismatch():
     A = sample_rational_matrix()
     assert mat_mul(A, Matrix.identity(RATIONAL, A.domain)) == A
     G = random_graph(random.Random(1), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matching fields"):
         mat_mul(A, G)
+    with pytest.raises(ValueError) as exc:
+        mat_mul(Matrix.zeros(RATIONAL, ("a", "b")), Matrix.zeros(RATIONAL, ("a", "c")))
+    assert str(exc.value) == "domains differ: ('a', 'b') and ('a', 'c')"
 
 
 # --- domain checks --------------------------------------------------------------
