@@ -59,7 +59,6 @@ VERIFY_PROPS = (
 
 
 def _split_labels(arg: str) -> list[str]:
-    arg = arg.strip()
     if not arg:
         return []
     labels = arg.split(",")

@@ -186,23 +186,42 @@ def format_partition_sequence(P: PartitionSequence) -> str:
     return "".join(_partition_lines(P))
 
 
-def _partition_lines(P: PartitionSequence):
-    """Yield the lines of :func:`format_partition_sequence` one at a time.
+# A listing names at most this many class members per yielded piece.
+_LISTING_PIECE_NAMES = 4096
 
-    Class members print as sorted label sets ordered by mask value.  A
-    mask's labels join one table entry for its low half of the domain and
-    one for its high half, so no per-subset object is built.  Each class
-    line is built only when it is yielded, so a listing written line by
-    line never holds its whole text at once.
+
+def _partition_lines(P: PartitionSequence):
+    """Yield the text of :func:`format_partition_sequence` in pieces.
+
+    Class members print as sorted label sets ordered by mask value.  One
+    pass over the nullities buckets each mask in a 4-byte array of its
+    class (masks stay below 2^ENUMERATION_CAP).  Each class line then
+    comes as ``k: {``, pieces of at most ``_LISTING_PIECE_NAMES`` names
+    and ``}`` with its newline.  A name joins one table entry for the low
+    half of the domain and one for the high half, so no per-subset object
+    outlives its piece.  Beyond the nullities, the listing holds 4 bytes
+    a subset and one piece of text.
     """
+    from array import array
+
     n = len(P.domain)
-    low = _label_table(P.domain[: n // 2])
-    high = _label_table(P.domain[n // 2 :])
-    buckets: list[list[str]] = [[] for _ in range(n + 1)]
-    names = ("{" + (lo + hi)[:-1] + "}" for hi in high for lo in low)
-    for k, name in zip(P.nullities, names):
-        buckets[k].append(name)
-    for i, b in enumerate(buckets):
-        if b:
-            yield f"{i}: {{{','.join(b)}}}\n"
+    half = n // 2
+    low = _label_table(P.domain[:half])
+    high = _label_table(P.domain[half:])
+    low_bits = len(low) - 1
+    buckets = [array("I") for _ in range(n + 1)]
+    appends = [b.append for b in buckets]
+    for mask, k in enumerate(P.nullities):
+        appends[k](mask)
+    for k, masks in enumerate(buckets):
+        if not masks:
+            continue
+        yield f"{k}: {{"
+        for start in range(0, len(masks), _LISTING_PIECE_NAMES):
+            names = ",".join([
+                "{" + (low[m & low_bits] + high[m >> half])[:-1] + "}"
+                for m in masks[start : start + _LISTING_PIECE_NAMES]
+            ])
+            yield "," + names if start else names
+        yield "}\n"
     yield f"norm: {format_norm(len(b) for b in buckets)}\n"

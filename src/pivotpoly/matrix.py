@@ -447,6 +447,9 @@ def f2_subset_nullities(rows: Sequence[int]) -> list[int]:
                 walk(i + 1, m, nul + 1, rest)
 
     walk(0, 0, 0, sum((1 << i | r << n) << pair * i for i, r in enumerate(rows)))
+    # walk's cell refers to walk, and the cycle would hold ``out`` until the
+    # next garbage collection; emptying the cell frees it with the caller.
+    del walk
     return out
 
 
@@ -518,6 +521,7 @@ def f2_nullity_histogram(rows: Sequence[int]) -> tuple[int, ...]:
         return t
 
     t = walk(0, sum((1 << i | r << n) << pair * i for i, r in enumerate(rows)) | 1 << pair * n)
+    del walk  # frees the memo now, as in f2_subset_nullities
     return tuple(t >> (width * k) & (one - 1) for k in range(n + 1))
 
 
@@ -660,6 +664,7 @@ def q_subset_nullities(rows: Sequence[Sequence[Fraction]]) -> list[int]:
 
     units = [[int(i == j) for j in range(n)] for i in range(n)]
     walk(0, 0, 0, [x for u, r in zip(units, ints) for x in (u, r)])
+    del walk  # frees ``out`` with the caller, as in f2_subset_nullities
     return out
 
 

@@ -35,14 +35,16 @@ __all__ = [
 
 # Subsets are swept as bitmasks over the sorted domain.  For listings, set
 # systems, twists and rational histograms the cap bounds memory: the
-# sweep's list alone holds 2^n ints (2^24 x 8 B = 128 MiB).  The
-# depth-first walk costs about 0.65 us per subset over GF(2) on random
-# matrices (0.7 s at n = 20, 2.7 s at n = 22, about 11 s at the cap, on a
-# shared 2-vCPU host under CPython 3.11) and about 4 us over the rationals
-# with small integer entries (one idle core).  A GF(2) histogram builds no
-# list, so for it the cap bounds time (0.2 s at n = 20, 1.2 s at n = 22
-# and 4-8 s at the cap, same host), and its memo's entry bound bounds its
-# memory.
+# sweep's list holds 2^n ints (2^24 x 8 B = 128 MiB), and a partition
+# sequence copies it into a tuple of the same size, so a `pseq` listing
+# peaks at about 16 B a subset (about 290 MB at the cap; 82 MB measured at
+# n = 22, interpreter included).  The depth-first walk costs about
+# 0.65 us per subset over GF(2) on random matrices (0.7 s at n = 20,
+# 2.7 s at n = 22, about 11 s at the cap, on a shared 2-vCPU host under
+# CPython 3.11) and about 4 us over the rationals with small integer
+# entries (one idle core).  A GF(2) histogram builds no list, so for it
+# the cap bounds time (0.2 s at n = 20, 1.2 s at n = 22 and 4-8 s at the
+# cap, same host), and its memo's entry bound bounds its memory.
 ENUMERATION_CAP = 24
 
 

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import typing
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 import pivotpoly
 from pivotpoly import circuits, cli, interlace, matrix
+import pivotpoly.formats as formats_module
 import pivotpoly.graphs as graphs_module
 from pivotpoly.cli import main
 from pivotpoly.formats import (
@@ -29,7 +31,7 @@ from pivotpoly.randgen import (
     random_valid_pivot_subset,
     valid_pivot_subset_from,
 )
-from pivotpoly.setsystems import partition_sequence_of, set_system_of, subset_nullities
+from pivotpoly.setsystems import norm, partition_sequence_of, set_system_of, subset_nullities
 from pivotpoly import GF2, RATIONAL, Matrix, SubsetMask, graph_from_edges
 
 from oracles import graph_text_entrywise, orbit_text_by_objects, partition_listing_by_mask
@@ -199,6 +201,49 @@ def test_partition_sequence_listing_builds_no_subset_mask(monkeypatch):
     monkeypatch.setattr(SubsetMask, "__post_init__", counting_init)
     format_partition_sequence(P)
     assert built == []
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3])
+def test_partition_listing_pieces_match_oracle(monkeypatch, piece):
+    monkeypatch.setattr(formats_module, "_LISTING_PIECE_NAMES", piece)
+    rng = random.Random(53 + piece)
+    for n in range(12):
+        for field in (GF2, RATIONAL):
+            P = partition_sequence_of(random_matrix(rng, field, n))
+            assert format_partition_sequence(P) == partition_listing_by_mask(
+                P.domain, P.nullities
+            ), (piece, n, field)
+    # The zero matrix on four labels has classes of sizes 1, 4, 6, 4, 1, so
+    # some class fills its last piece exactly for every piece length here.
+    P = partition_sequence_of(Matrix.zeros(GF2, ["a", "b", "c", "d"]))
+    assert any(size > piece and size % piece == 0 for size in norm(P))
+    assert format_partition_sequence(P) == partition_listing_by_mask(P.domain, P.nullities)
+
+
+def test_partition_listing_yields_bounded_pieces(monkeypatch):
+    monkeypatch.setattr(formats_module, "_LISTING_PIECE_NAMES", 2)
+    P = partition_sequence_of(Matrix.zeros(GF2, ["a", "b", "c"]))
+    assert list(formats_module._partition_lines(P)) == [
+        "0: {", "{}", "}\n",
+        "1: {", "{a},{b}", ",{c}", "}\n",
+        "2: {", "{a,b},{a,c}", ",{b,c}", "}\n",
+        "3: {", "{a,b,c}", "}\n",
+        "norm: (1,3,3,1)\n",
+    ]
+
+
+def test_partition_listing_memory_is_bounded():
+    # The nullities are built first: the listing itself holds one 4-byte
+    # mask a subset (256 KiB here) and one piece of names at a time.
+    P = partition_sequence_of(random_matrix(random.Random(59), GF2, 16))
+    tracemalloc.start()
+    try:
+        for _ in formats_module._partition_lines(P):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024, peak
 
 
 def test_readme_partition_sequence_example():
@@ -622,6 +667,15 @@ def test_empty_label_is_a_usage_error(matrix_file, capsys):
     assert capsys.readouterr().out == "0\n"
 
 
+def test_labels_keep_their_spaces(matrix_file, capsys):
+    # A space inside or around the argument is part of a label, wherever it is.
+    for arg, label in ((" a,b ", " a"), ("a, b", " b"), (" ", " ")):
+        assert main(["nullity", "--matrix", matrix_file, "--subset", arg]) == 2, arg
+        assert capsys.readouterr() == (
+            "", f"error: label {label!r} not in domain ('a', 'b', 'c')\n"
+        ), arg
+
+
 def test_exit_code_for_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.mat"
     bad.write_text("field q\na b\n1 2\n")
@@ -659,6 +713,30 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
         proc.kill()
         proc.wait()
     assert first == b"orbit size 1597\n"
+    assert proc.returncode == 141
+    assert err == b""
+
+
+def test_closed_stdout_ends_a_pseq_listing_with_141(tmp_path):
+    # The listing of 16 labels prints about 2 MB in pieces, far past what
+    # the pipe buffers, so the writer is mid-line when the reader goes away.
+    A = random_matrix(random.Random(61), GF2, 16)
+    path = tmp_path / "m16.mat"
+    path.write_text(format_matrix(A))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pivotpoly", "pseq", "--matrix", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+        proc.wait()
+    listing = format_partition_sequence(partition_sequence_of(A))
+    assert first.decode() == listing[: listing.index("\n") + 1]
+    assert len(listing) - len(first) > 1 << 20
     assert proc.returncode == 141
     assert err == b""
 

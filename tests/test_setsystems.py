@@ -1,4 +1,5 @@
 import functools
+import gc
 import math
 import random
 from collections import Counter
@@ -221,6 +222,22 @@ def test_histogram_equals_norm():
         field = rng.choice([GF2, RATIONAL])
         A = random_matrix(rng, field, rng.randint(0, 7))
         assert nullity_histogram(A) == norm(partition_sequence_of(A))
+
+
+def test_sweeps_leave_no_reference_cycle():
+    # A cycle would keep the sweep's list or memo alive until the next
+    # garbage collection, for example through a whole pseq listing.
+    rng = random.Random(21)
+    gc.collect()
+    gc.disable()
+    try:
+        for field in (GF2, RATIONAL):
+            A = random_matrix(rng, field, 9)
+            for sweep in (subset_nullities, nullity_histogram):
+                sweep(A)
+                assert gc.collect() == 0, (field, sweep.__name__)
+    finally:
+        gc.enable()
 
 
 def test_subset_nullities_match_elimination_oracle():
