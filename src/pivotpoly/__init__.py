@@ -21,6 +21,7 @@ _EXPORTS = {
         "Matrix",
         "SubsetMask",
         "SetSystem",
+        "PartitionSequence",
         "SingularMatrixError",
         "PivotUndefinedError",
         "principal_submatrix",
@@ -43,7 +44,6 @@ _EXPORTS = {
         "pivot_composition",
     ),
     "setsystems": (
-        "PartitionSequence",
         "set_system_of",
         "partition_sequence_of",
         "twist",

@@ -35,9 +35,7 @@ from .matrix import (
     SubsetMask,
     _class_sizes,
     delete_label,
-    nullity,
     nullity_by_bits,
-    principal_submatrix,
 )
 from .pivot import (
     nullity_after_pivot,
@@ -150,10 +148,8 @@ def _cmd_pivot(args) -> int:
 
 def _cmd_nullity(args) -> int:
     A = parse_matrix(_read(args.matrix))
-    if args.subset is not None:
-        X = SubsetMask.of(A.domain, args.subset)
-        A = principal_submatrix(A, X)
-    print(nullity(A))
+    X = A.full_subset() if args.subset is None else SubsetMask.of(A.domain, args.subset)
+    print(nullity_by_bits(A, X.bits))
     return 0
 
 
@@ -164,7 +160,7 @@ def _cmd_pseq(args) -> int:
     if args.norm_only:
         print(f"norm: {format_norm(setsystems.nullity_histogram(A))}")
     else:
-        sys.stdout.writelines(_partition_lines(setsystems.partition_sequence_of(A)))
+        sys.stdout.writelines(_partition_lines(A.domain, setsystems.subset_nullities(A)))
     return 0
 
 

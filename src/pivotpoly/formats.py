@@ -22,7 +22,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .graphs import graph_from_edges, require_graph
-from .matrix import GF2, RATIONAL, Matrix, mask_items
+from .matrix import GF2, RATIONAL, Matrix, PartitionSequence, mask_items
 
 __all__ = [
     "FormatError",
@@ -183,35 +183,37 @@ def _label_table(labels) -> list[str]:
 
 def format_partition_sequence(P: PartitionSequence) -> str:
     """One line per nonempty class, then the norm vector."""
-    return "".join(_partition_lines(P))
+    return "".join(_partition_lines(P.domain, P.nullities))
 
 
 # A listing names at most this many class members per yielded piece.
 _LISTING_PIECE_NAMES = 4096
 
 
-def _partition_lines(P: PartitionSequence):
+def _partition_lines(domain, nullities):
     """Yield the text of :func:`format_partition_sequence` in pieces.
 
-    Class members print as sorted label sets ordered by mask value.  One
-    pass over the nullities buckets each mask in a 4-byte array of its
-    class (masks stay below 2^ENUMERATION_CAP).  Each class line then
-    comes as ``k: {``, pieces of at most ``_LISTING_PIECE_NAMES`` names
-    and ``}`` with its newline.  A name joins one table entry for the low
-    half of the domain and one for the high half, so no per-subset object
-    outlives its piece.  Beyond the nullities, the listing holds 4 bytes
-    a subset and one piece of text.
+    ``nullities`` is indexed by mask, as in a :class:`PartitionSequence`,
+    so ``pseq`` lists straight from the sweep's list.  Class members print
+    as sorted label sets ordered by mask value.  One pass over the
+    nullities buckets each mask in a 4-byte array of its class (masks stay
+    below 2^ENUMERATION_CAP).  Each class line then comes as ``k: {``,
+    pieces of at most ``_LISTING_PIECE_NAMES`` names and ``}`` with its
+    newline.  A name joins one table entry for the low half of the domain
+    and one for the high half, so no per-subset object outlives its piece.
+    Beyond the nullities, the listing holds 4 bytes a subset and one piece
+    of text.
     """
     from array import array
 
-    n = len(P.domain)
+    n = len(domain)
     half = n // 2
-    low = _label_table(P.domain[:half])
-    high = _label_table(P.domain[half:])
+    low = _label_table(domain[:half])
+    high = _label_table(domain[half:])
     low_bits = len(low) - 1
     buckets = [array("I") for _ in range(n + 1)]
     appends = [b.append for b in buckets]
-    for mask, k in enumerate(P.nullities):
+    for mask, k in enumerate(nullities):
         appends[k](mask)
     for k, masks in enumerate(buckets):
         if not masks:

@@ -221,6 +221,8 @@ def interlace_recursive(G: Matrix) -> Poly:
             f"deletion recursion on {G.n} labels runs deeper than Python's "
             f"recursion limit of {sys.getrecursionlimit()} frames"
         ) from None
+    finally:
+        del recurse  # frees the memo now, as the sweep kernels free theirs
 
 
 def verify_recursion(A: Matrix, u: str, X: SubsetMask) -> Poly:

@@ -30,6 +30,7 @@ __all__ = [
     "PivotUndefinedError",
     "SubsetMask",
     "SetSystem",
+    "PartitionSequence",
     "Matrix",
     "check_labels",
     "check_same_domain",
@@ -226,8 +227,8 @@ class SubsetMask(_Value):
         return "{" + ",".join(self.labels()) + "}"
 
 
-# A value type beside SubsetMask, so that graphs can name it without
-# loading the sweeps in setsystems.
+# Value types beside SubsetMask, so that graphs and formats can name them
+# without loading the sweeps in setsystems.
 class SetSystem(_Value):
     """A family of subsets of a common domain, stored as bitmasks."""
 
@@ -246,6 +247,37 @@ class SetSystem(_Value):
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+class PartitionSequence(_Value):
+    """The class index 0..n of every subset of the domain, indexed by mask.
+
+    ``nullities[m]`` is the class of the subset with bitmask m; for the
+    partition sequence of a matrix it is the nullity of the principal
+    submatrix on m.  Class i is the set of masks whose entry is i, so the
+    classes partition the full power set by construction.
+    """
+
+    __slots__ = ("domain", "nullities")
+    domain: tuple[str, ...]
+    nullities: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.domain)
+        if len(self.nullities) != 1 << n:
+            raise ValueError(f"expected {1 << n} nullities, got {len(self.nullities)}")
+        if set(map(type, self.nullities)) != {int}:
+            raise ValueError("nullities must be ints")
+        if not 0 <= min(self.nullities) <= max(self.nullities) <= n:
+            raise ValueError(f"nullities must lie in 0..{n}")
+
+    @property
+    def classes(self) -> tuple[frozenset[int], ...]:
+        """The masks of each class 0..n."""
+        return tuple(
+            frozenset(m for m, k in enumerate(self.nullities) if k == i)
+            for i in range(len(self.domain) + 1)
+        )
 
 
 class Matrix(_Value):
@@ -551,15 +583,10 @@ def f2_pivot_rows(rows: Sequence[int], bits: int) -> "tuple[int, ...] | None":
     return tuple(r & outside | r >> n & bits for r in rel)
 
 
-def f2_rank_det(rows: Sequence[int]) -> tuple[int, int]:
-    """(rank, determinant) of a square GF(2) matrix, by :func:`f2_rank_rows`."""
-    rnk = f2_rank_rows(rows)
-    return rnk, int(rnk == len(rows))
-
-
-def f2_subset_rank(rows: Sequence[int], bits: int) -> int:
-    """Rank of the principal submatrix on mask ``bits``, from its rows masked, not compacted."""
-    return f2_rank_rows(r & bits for r in mask_items(rows, bits))
+def f2_rank_det(rows: Sequence[int], bits: int) -> tuple[int, int]:
+    """(rank, determinant) of the principal block on mask ``bits``, from its rows masked."""
+    rnk = f2_rank_rows(r & bits for r in mask_items(rows, bits))
+    return rnk, int(rnk == bits.bit_count())
 
 
 def f2_submatrix_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple[int, ...]:
@@ -588,19 +615,22 @@ def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[list[i
     return scales, ints
 
 
-def q_rank_det(rows: Sequence[Sequence[Fraction]]) -> tuple[int, Fraction]:
-    """Bareiss elimination on the cleared rows; returns (rank, determinant).
+def q_submatrix_rows(rows: Sequence[Sequence[Fraction]], idx: Sequence[int]) -> tuple:
+    """Rows ``idx`` of a rational matrix, each cut down to the entries ``idx``."""
+    return tuple(tuple(rows[i][j] for j in idx) for i in idx)
+
+
+def q_rank_det(rows: Sequence[Sequence[Fraction]], bits: int) -> tuple[int, Fraction]:
+    """Bareiss elimination on the cleared block on mask ``bits``; returns (rank, determinant).
 
     Each update p*a - f*b is divided exactly by the previous pivot, so every
-    entry stays a minor of the cleared matrix and the last pivot is its
-    determinant, up to the sign of the row swaps.  The determinant applies
-    to square input; for the empty matrix it is 1.
+    entry stays a minor of the cleared block and the last pivot is its
+    determinant, up to the sign of the row swaps; for the empty block it is 1.
     """
-    scales, a = _cleared(rows)
+    scales, a = _cleared(q_submatrix_rows(rows, tuple(mask_items(range(len(rows)), bits))))
     m = len(a)
-    ncols = len(a[0]) if a else 0
     prev, sign, r = 1, 1, 0
-    for col in range(ncols):
+    for col in range(m):
         piv = next((i for i in range(r, m) if a[i][col]), None)
         if piv is None:
             continue
@@ -614,7 +644,7 @@ def q_rank_det(rows: Sequence[Sequence[Fraction]]) -> tuple[int, Fraction]:
             a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], rowr)]
         prev = p
         r += 1
-    if m == ncols and r == m:
+    if r == m:
         return r, Fraction(sign * prev, prod(scales))
     return r, Fraction(0)
 
@@ -708,16 +738,6 @@ def q_nullity_histogram(rows: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
     return _class_sizes(q_subset_nullities(rows), len(rows))
 
 
-def q_submatrix_rows(rows: Sequence[Sequence[Fraction]], idx: Sequence[int]) -> tuple:
-    """Rows ``idx`` of a rational matrix, each cut down to the entries ``idx``."""
-    return tuple(tuple(rows[i][j] for j in idx) for i in idx)
-
-
-def q_subset_rank(rows: Sequence[Sequence[Fraction]], bits: int) -> int:
-    """Rank of the principal submatrix on mask ``bits``."""
-    return q_rank_det(q_submatrix_rows(rows, tuple(mask_items(range(len(rows)), bits))))[0]
-
-
 # ---------------------------------------------------------------------------
 # Operations on Matrix values.
 
@@ -730,19 +750,16 @@ class FieldKernels(_Value):
     """
 
     __slots__ = (
-        "rank_det", "subset_rank", "submatrix_rows", "pivot_rows", "subset_nullities",
-        "nullity_histogram",
+        "rank_det", "submatrix_rows", "pivot_rows", "subset_nullities", "nullity_histogram",
     )
 
 
 KERNELS = {
     GF2: FieldKernels(
-        f2_rank_det, f2_subset_rank, f2_submatrix_rows, f2_pivot_rows, f2_subset_nullities,
-        f2_nullity_histogram,
+        f2_rank_det, f2_submatrix_rows, f2_pivot_rows, f2_subset_nullities, f2_nullity_histogram,
     ),
     RATIONAL: FieldKernels(
-        q_rank_det, q_subset_rank, q_submatrix_rows, q_pivot_rows, q_subset_nullities,
-        q_nullity_histogram,
+        q_rank_det, q_submatrix_rows, q_pivot_rows, q_subset_nullities, q_nullity_histogram,
     ),
 }
 
@@ -765,8 +782,13 @@ def transpose(A: Matrix) -> Matrix:
     return Matrix.from_entries(A.field, A.domain, zip(*A.to_entries()))
 
 
+def _block_rank_det(A: Matrix, bits: int) -> tuple:
+    """(rank, determinant) of the principal block of A on mask ``bits``, read in place."""
+    return KERNELS[A.field].rank_det(A.rows, bits)
+
+
 def rank(A: Matrix) -> int:
-    return KERNELS[A.field].rank_det(A.rows)[0]
+    return _block_rank_det(A, (1 << A.n) - 1)[0]
 
 
 def nullity(A: Matrix) -> int:
@@ -782,7 +804,7 @@ def nullity_by_bits(A: Matrix, bits: int) -> int:
     :func:`q_subset_nullities`.  A mask outside the domain raises
     ``ValueError``.
     """
-    return len(SubsetMask(A.domain, bits)) - KERNELS[A.field].subset_rank(A.rows, bits)
+    return len(SubsetMask(A.domain, bits)) - _block_rank_det(A, bits)[0]
 
 
 def determinant(A: Matrix):
@@ -790,7 +812,7 @@ def determinant(A: Matrix):
 
     Returns an int (0 or 1) over GF(2) and a Fraction over the rationals.
     """
-    return KERNELS[A.field].rank_det(A.rows)[1]
+    return _block_rank_det(A, (1 << A.n) - 1)[1]
 
 
 def pivot_rows(A: Matrix, bits: int) -> "tuple | None":

@@ -15,10 +15,10 @@ from .matrix import (
     Matrix,
     PivotUndefinedError,
     SubsetMask,
+    _block_rank_det,
     check_same_domain,
-    determinant,
     mat_vec,
-    nullity,
+    nullity_by_bits,
     pivot_rows,
     principal_submatrix,
 )
@@ -78,18 +78,17 @@ def verify_partial_inverse(A: Matrix, X: SubsetMask, xs: Sequence) -> bool:
 def nullity_after_pivot(A: Matrix, X: SubsetMask, Y: SubsetMask) -> tuple[int, int]:
     """The pair (n((A*X)[Y]), n(A[X xor Y])); equal by the nullity invariant."""
     B = pivot(A, X)
-    return (
-        nullity(principal_submatrix(B, Y)),
-        nullity(principal_submatrix(A, X ^ Y)),
-    )
+    check_same_domain(B, Y)
+    return nullity_by_bits(B, Y.bits), nullity_by_bits(A, X.bits ^ Y.bits)
 
 
 def tucker_determinant_check(A: Matrix, X: SubsetMask, Y: SubsetMask) -> bool:
     """Tucker's identity: det (A*X)[Y] equals det A[X xor Y] / det A[X]."""
     B = pivot(A, X)
-    lhs = determinant(principal_submatrix(B, Y))
-    det_x = determinant(principal_submatrix(A, X))
-    det_xy = determinant(principal_submatrix(A, X ^ Y))
+    check_same_domain(B, Y)
+    lhs = _block_rank_det(B, Y.bits)[1]
+    det_x = _block_rank_det(A, X.bits)[1]
+    det_xy = _block_rank_det(A, X.bits ^ Y.bits)[1]
     return lhs * det_x == det_xy
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 from .matrix import (
     KERNELS,
     Matrix,
+    PartitionSequence,
     SetSystem,
     SubsetMask,
     _class_sizes,
-    _Value,
     check_same_domain,
 )
 
@@ -36,8 +36,9 @@ __all__ = [
 # Subsets are swept as bitmasks over the sorted domain.  For listings, set
 # systems, twists and rational histograms the cap bounds memory: the
 # sweep's list holds 2^n ints (2^24 x 8 B = 128 MiB), and a partition
-# sequence copies it into a tuple of the same size, so a `pseq` listing
-# peaks at about 16 B a subset (about 290 MB at the cap; 82 MB measured at
+# sequence copies it into a tuple of the same size.  A `pseq` listing
+# prints from the list itself, with one 4-byte mask a subset besides, and
+# peaks at about 12 B a subset (about 220 MB at the cap; 67 MB measured at
 # n = 22, interpreter included).  The depth-first walk costs about
 # 0.65 us per subset over GF(2) on random matrices (0.7 s at n = 20,
 # 2.7 s at n = 22, about 11 s at the cap, on a shared 2-vCPU host under
@@ -46,37 +47,6 @@ __all__ = [
 # the cap bounds time (0.2 s at n = 20, 1.2 s at n = 22 and 4-8 s at the
 # cap, same host), and its memo's entry bound bounds its memory.
 ENUMERATION_CAP = 24
-
-
-class PartitionSequence(_Value):
-    """The class index 0..n of every subset of the domain, indexed by mask.
-
-    ``nullities[m]`` is the class of the subset with bitmask m; for the
-    partition sequence of a matrix it is the nullity of the principal
-    submatrix on m.  Class i is the set of masks whose entry is i, so the
-    classes partition the full power set by construction.
-    """
-
-    __slots__ = ("domain", "nullities")
-    domain: tuple[str, ...]
-    nullities: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.domain)
-        if len(self.nullities) != 1 << n:
-            raise ValueError(f"expected {1 << n} nullities, got {len(self.nullities)}")
-        if set(map(type, self.nullities)) != {int}:
-            raise ValueError("nullities must be ints")
-        if not 0 <= min(self.nullities) <= max(self.nullities) <= n:
-            raise ValueError(f"nullities must lie in 0..{n}")
-
-    @property
-    def classes(self) -> tuple[frozenset[int], ...]:
-        """The masks of each class 0..n."""
-        return tuple(
-            frozenset(m for m, k in enumerate(self.nullities) if k == i)
-            for i in range(len(self.domain) + 1)
-        )
 
 
 def subset_nullities(A: Matrix) -> list[int]:

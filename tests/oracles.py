@@ -62,14 +62,16 @@ def det_by_expansion(entries) -> Fraction:
     return total
 
 
-def rank_by_minors(entries) -> int:
-    """Largest k with a nonzero k x k minor, by exhaustive search."""
+def rank_by_minors(entries, mod2=False) -> int:
+    """Largest k with a nonzero k x k minor, by exhaustive search; with
+    ``mod2`` a minor counts as nonzero when it is odd (the rank over GF(2))."""
     n = len(entries)
     for k in range(n, 0, -1):
         for rows in combinations(range(n), k):
             for cols in combinations(range(n), k):
                 minor = [[entries[i][j] for j in cols] for i in rows]
-                if det_by_expansion(minor) != 0:
+                det = det_by_expansion(minor)
+                if (det % 2 if mod2 else det) != 0:
                     return k
     return 0
 

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -32,7 +34,7 @@ from pivotpoly.randgen import (
     valid_pivot_subset_from,
 )
 from pivotpoly.setsystems import norm, partition_sequence_of, set_system_of, subset_nullities
-from pivotpoly import GF2, RATIONAL, Matrix, SubsetMask, graph_from_edges
+from pivotpoly import GF2, RATIONAL, Matrix, PartitionSequence, SubsetMask, graph_from_edges
 
 from oracles import graph_text_entrywise, orbit_text_by_objects, partition_listing_by_mask
 from samples import loopless, path_graph, patch_kernels, pivot_pair_left
@@ -223,7 +225,7 @@ def test_partition_listing_pieces_match_oracle(monkeypatch, piece):
 def test_partition_listing_yields_bounded_pieces(monkeypatch):
     monkeypatch.setattr(formats_module, "_LISTING_PIECE_NAMES", 2)
     P = partition_sequence_of(Matrix.zeros(GF2, ["a", "b", "c"]))
-    assert list(formats_module._partition_lines(P)) == [
+    assert list(formats_module._partition_lines(P.domain, P.nullities)) == [
         "0: {", "{}", "}\n",
         "1: {", "{a},{b}", ",{c}", "}\n",
         "2: {", "{a,b},{a,c}", ",{b,c}", "}\n",
@@ -238,7 +240,7 @@ def test_partition_listing_memory_is_bounded():
     P = partition_sequence_of(random_matrix(random.Random(59), GF2, 16))
     tracemalloc.start()
     try:
-        for _ in formats_module._partition_lines(P):
+        for _ in formats_module._partition_lines(P.domain, P.nullities):
             pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -301,6 +303,20 @@ def test_pseq_norm_only_is_last_line_of_listing(tmp_path, capsys):
         listing = capsys.readouterr().out
         assert main(["pseq", "--matrix", str(path), "--norm-only"]) == 0
         assert capsys.readouterr().out == listing.splitlines(keepends=True)[-1]
+
+
+def test_pseq_listing_builds_no_partition_sequence(tmp_path, monkeypatch, capsys):
+    # The command lists straight from the sweep's list: no tuple copy of it
+    # and no check of every entry.
+    A = random_matrix(random.Random(43), GF2, 8)
+    path = tmp_path / "eight.mat"
+    path.write_text(format_matrix(A))
+    built = []
+    monkeypatch.setattr(PartitionSequence, "__post_init__", lambda self: built.append(self))
+    assert main(["pseq", "--matrix", str(path)]) == 0
+    assert built == []
+    P = PartitionSequence(A.domain, tuple(subset_nullities(A)))
+    assert capsys.readouterr().out == format_partition_sequence(P)
 
 
 def test_pseq_full_listing(matrix_file, capsys):
@@ -831,10 +847,17 @@ def test_recursive_interlace_loads_no_sweep_module(tmp_path):
 
 
 def test_every_public_callable_has_resolvable_type_hints():
-    for name in pivotpoly.__all__:
-        value = getattr(pivotpoly, name)
-        if callable(value):
-            typing.get_type_hints(value)
+    modules = [pivotpoly] + [
+        importlib.import_module(f"pivotpoly.{info.name}")
+        for info in pkgutil.iter_modules(pivotpoly.__path__)
+        if info.name != "__main__"
+    ]
+    assert len(modules) == 10
+    for module in modules:
+        for name in module.__all__:
+            value = getattr(module, name)
+            if callable(value):
+                typing.get_type_hints(value)
 
 
 def test_sweeps_past_the_enumeration_cap_fail_fast(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -230,6 +231,26 @@ def test_recursion_memo_cap(monkeypatch):
     assert interlace_recursive(path_graph(8)) == path_polynomials(9)[8]
     with pytest.raises(ValueError, match="memo cap of 100 rows"):
         interlace_recursive(path_graph(16))
+
+
+def test_recursion_leaves_no_reference_cycle(monkeypatch):
+    # A cycle would keep the memo alive until the next garbage collection,
+    # after a return and after either failure alike.
+    G = random_graph(random.Random(1), 12)
+    gc.collect()
+    gc.disable()
+    try:
+        interlace_recursive(G)
+        assert gc.collect() == 0
+        with pytest.raises(ValueError, match="recursion limit"):
+            interlace_recursive(path_graph(1200))
+        assert gc.collect() == 0
+        monkeypatch.setattr(interlace_module, "RECURSION_MEMO_CAP", 100)
+        with pytest.raises(ValueError, match="memo cap"):
+            interlace_recursive(path_graph(16))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_recursion_matches_the_path_recurrence_up_to_200_vertices():

@@ -36,6 +36,7 @@ from pivotpoly import (
     transpose,
 )
 from pivotpoly.matrix import (
+    KERNELS,
     check_labels,
     nullity_by_bits,
     q_pivot_rows,
@@ -313,6 +314,26 @@ def test_rational_rank_and_det_against_expansion_oracle():
         assert rank(A) == oracles.rank_by_minors(dense)
 
 
+def test_block_rank_det_on_every_mask_against_dense_oracles():
+    # Both fields' kernel reads the principal block on a mask in place;
+    # the oracles expand the dense block, reduced mod 2 over GF(2).
+    rng = random.Random(71)
+    cases = [Matrix.zeros(field, []) for field in (GF2, RATIONAL)]
+    cases += [random_matrix(rng, field, n) for field in (GF2, RATIONAL) for n in range(1, 7)
+              for _ in range(3)]
+    cases += rational_stress_matrices(random.Random(73), 12, 5)
+    for A in cases:
+        mod2 = A.field == GF2
+        dense = A.to_entries()
+        kernel = KERNELS[A.field].rank_det
+        for bits in range(1 << A.n):
+            idx = SubsetMask(A.domain, bits).indices()
+            block = [[dense[i][j] for j in idx] for i in idx]
+            det = oracles.det_by_expansion(block)
+            expected = (oracles.rank_by_minors(block, mod2), det % 2 if mod2 else det)
+            assert kernel(A.rows, bits) == expected, (A, bits)
+
+
 def test_rational_eliminations_do_no_fraction_arithmetic(monkeypatch):
     # Rank, determinant, pivot and the subset sweep eliminate on cleared
     # integer rows; a Fraction is only built for each value they return.
@@ -339,7 +360,7 @@ def test_rational_eliminations_do_no_fraction_arithmetic(monkeypatch):
             patch.setattr(Fraction, name, refuse)
         got = [
             (
-                q_rank_det(A.rows),
+                q_rank_det(A.rows, (1 << A.n) - 1),
                 [q_pivot_rows(A.rows, bits) for bits in range(1 << A.n)],
                 q_subset_nullities(A.rows),
             )
@@ -495,6 +516,12 @@ _COMBINE_ACROSS_DOMAINS = {
     "twist_set_system": lambda X: pivotpoly.twist(SetSystem(_AB, frozenset({0})), X),
     "twist_partition_sequence": lambda X: pivotpoly.twist(PartitionSequence(_AB, (0, 0, 0, 0)), X),
     "restrict": lambda X: pivotpoly.restrict(PartitionSequence(_AB, (0, 0, 0, 0)), X),
+    "nullity_after_pivot": lambda Y: pivotpoly.nullity_after_pivot(
+        Matrix.identity(RATIONAL, _AB), SubsetMask.full(_AB), Y
+    ),
+    "tucker_determinant_check": lambda Y: pivotpoly.tucker_determinant_check(
+        Matrix.identity(GF2, _AB), SubsetMask.full(_AB), Y
+    ),
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from pivotpoly import (
     GF2,
     RATIONAL,
+    Matrix,
     PivotUndefinedError,
     SingularMatrixError,
     SubsetMask,
@@ -23,10 +24,13 @@ from pivotpoly import (
     tucker_determinant_check,
     verify_partial_inverse,
 )
+from pivotpoly.cli import main
+from pivotpoly.formats import format_matrix
 from pivotpoly.matrix import nullity_by_bits
 from pivotpoly.randgen import (
     random_graph,
     random_matrix,
+    random_subset,
     random_valid_pivot_subset,
     random_vector,
 )
@@ -318,6 +322,37 @@ def test_tucker_over_gf2():
         X = random_valid_pivot_subset(rng, A)
         Y = SubsetMask(A.domain, rng.randrange(1 << n))
         assert tucker_determinant_check(A, X, Y)
+
+
+def test_checks_and_nullity_command_read_blocks_in_place(tmp_path, monkeypatch, capsys):
+    # The two checks build the pivot and nothing else, and ``nullity
+    # --subset`` builds the matrix it parsed: no principal submatrix.
+    rng = random.Random(83)
+    A = sample_rational_matrix()
+    cases = [(A, A.subset("a", "b"), A.subset("b", "c"))]
+    for _ in range(10):
+        A = random_matrix(rng, GF2, 6)
+        cases.append((A, random_valid_pivot_subset(rng, A), random_subset(rng, A.domain)))
+    path = tmp_path / "case.mat"
+    built = []
+    real_init = Matrix.__post_init__
+
+    def counting_init(self):
+        built.append(self.domain)
+        real_init(self)
+
+    for A, X, Y in cases:
+        path.write_text(format_matrix(A))
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "__post_init__", counting_init)
+            for check in (nullity_after_pivot, tucker_determinant_check):
+                built.clear()
+                check(A, X, Y)
+                assert built == [A.domain], check.__name__
+            built.clear()
+            assert main(["nullity", "--matrix", str(path), "--subset", ",".join(Y.labels())]) == 0
+            assert built == [A.domain]
+        assert capsys.readouterr().out == f"{nullity(principal_submatrix(A, Y))}\n"
 
 
 # --- composition ----------------------------------------------------------------
