@@ -17,7 +17,6 @@ empty matrix exists only in memory.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
@@ -76,8 +75,13 @@ def parse_matrix(text: str) -> Matrix:
                 if not _RATIONAL_TOKEN.match(tok):
                     raise FormatError(f"bad rational entry {tok!r}")
                 num, _, den = tok.partition("/")
+                if not den:
+                    row.append(int(tok))
+                    continue
+                from fractions import Fraction  # loaded only by p/q entries
+
                 try:
-                    row.append(Fraction(int(num), int(den)) if den else int(tok))
+                    row.append(Fraction(int(num), int(den)))
                 except ZeroDivisionError:
                     raise FormatError(f"zero denominator in {tok!r}") from None
         entries.append(row)
@@ -89,8 +93,7 @@ def parse_matrix(text: str) -> Matrix:
 
 def format_matrix(A: Matrix) -> str:
     lines = [f"field {A.field}", " ".join(A.domain)]
-    for i in range(A.n):
-        lines.append(" ".join(str(A.entry_at(i, j)) for j in range(A.n)))
+    lines += [" ".join(map(str, row)) for row in A.to_entries()]
     return "\n".join(lines) + "\n"
 
 

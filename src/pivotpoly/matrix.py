@@ -3,12 +3,11 @@
 Matrices are square and indexed by a sorted tuple of string labels.  A GF(2)
 matrix packs each row into one Python int (bit j = column j), so elimination
 runs as word-wide XOR.  A rational matrix stores ``fractions.Fraction``
-entries, which keep themselves in lowest terms with positive denominators;
-its eliminations (rank, determinant, pivot and the subset sweep) run on
-Python ints, each row scaled once by the lcm of its denominators, and
-build Fractions only for what they return.  Only the row format and the
-elimination kernels know the field, and each field's kernels sit in one
-``FieldKernels`` record of ``KERNELS``; operations that eliminate nothing
+entries; its row format and eliminations live in :mod:`pivotpoly.rational`,
+which is imported on the first rational lookup.  Only the row format and the
+elimination kernels know the field, and each field's sit in one
+``FieldKernels`` record of ``KERNELS``; ``Matrix`` and the operations look
+that record up and hold no field branch.  Operations that eliminate nothing
 (identity, transpose, products) work on dense entries through
 ``Matrix.from_entries``.  Every value is immutable and every operation is
 a pure function.
@@ -17,8 +16,6 @@ a pure function.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
-from math import gcd, lcm, prod
 
 GF2 = "f2"
 RATIONAL = "q"
@@ -295,8 +292,7 @@ class Matrix(_Value):
     rows: tuple
 
     def __post_init__(self):
-        if self.field not in (GF2, RATIONAL):
-            raise ValueError(f"unknown field {self.field!r}")
+        kernels = KERNELS[self.field]
         check_labels(self.domain)
         if tuple(sorted(self.domain)) != self.domain:
             raise ValueError("matrix domain must be sorted")
@@ -305,14 +301,7 @@ class Matrix(_Value):
             raise ValueError("matrix rows must be a tuple")
         if len(self.rows) != n:
             raise ValueError(f"expected {n} rows, got {len(self.rows)}")
-        if self.field == GF2:
-            for r in self.rows:
-                if not isinstance(r, int) or not 0 <= r < (1 << n):
-                    raise ValueError("GF(2) rows must be ints fitting the domain width")
-        else:
-            for r in self.rows:
-                if not isinstance(r, tuple) or len(r) != n or not all(isinstance(e, Fraction) for e in r):
-                    raise ValueError("rational rows must be Fraction tuples of length n")
+        kernels.check_rows(self.rows)
 
     @classmethod
     def from_entries(cls, field: str, labels: Iterable[str], entries) -> "Matrix":
@@ -331,21 +320,8 @@ class Matrix(_Value):
             _reject_floats(row)
         order = sorted(range(n), key=lambda i: given[i])
         domain = tuple(given[i] for i in order)
-        if field == GF2:
-            rows = []
-            for i in order:
-                bits = 0
-                for jj, j in enumerate(order):
-                    e = dense[i][j]
-                    if e not in (0, 1):
-                        raise ValueError(f"GF(2) entry must be 0 or 1, got {e!r}")
-                    bits |= int(e) << jj
-                rows.append(bits)
-            return cls(GF2, domain, tuple(rows))
-        rows = tuple(
-            tuple(Fraction(dense[i][j]) for j in order) for i in order
-        )
-        return cls(field, domain, rows)
+        pack = KERNELS[field].pack_row
+        return cls(field, domain, tuple(pack([dense[i][j] for j in order]) for i in order))
 
     @classmethod
     def identity(cls, field: str, labels: Iterable[str]) -> "Matrix":
@@ -370,15 +346,13 @@ class Matrix(_Value):
             raise ValueError(f"label {label!r} not in matrix domain") from None
 
     def entry_at(self, i: int, j: int):
-        if self.field == GF2:
-            return self.rows[i] >> j & 1
-        return self.rows[i][j]
+        return KERNELS[self.field].entry(self.rows, i, j)
 
     def entry(self, row_label: str, col_label: str):
         return self.entry_at(self.index_of(row_label), self.index_of(col_label))
 
     def to_entries(self) -> list[list]:
-        return [[self.entry_at(i, j) for j in range(self.n)] for i in range(self.n)]
+        return KERNELS[self.field].unpack(self.rows)
 
     def subset(self, *labels: str) -> SubsetMask:
         """Convenience: the SubsetMask of the given labels over this domain."""
@@ -388,17 +362,52 @@ class Matrix(_Value):
         return SubsetMask.full(self.domain)
 
     def is_symmetric(self) -> bool:
-        if self.field == GF2:
-            # Each set bit (i, j) needs its mirror: O(n + edges), not n^2.
-            rows = self.rows
-            for i, r in enumerate(rows):
-                while r:
-                    low = r & -r
-                    if not rows[low.bit_length() - 1] >> i & 1:
-                        return False
-                    r ^= low
-            return True
-        return self.rows == tuple(zip(*self.rows))
+        return KERNELS[self.field].is_symmetric(self.rows)
+
+
+# ---------------------------------------------------------------------------
+# GF(2) row format: one packed int per row.
+
+def f2_check_rows(rows: tuple) -> None:
+    limit = 1 << len(rows)
+    for r in rows:
+        if not isinstance(r, int) or not 0 <= r < limit:
+            raise ValueError("GF(2) rows must be ints fitting the domain width")
+
+
+def f2_pack_row(entries: Iterable) -> int:
+    """One packed row of 0/1 entries, the first entry lowest."""
+    bits = 0
+    for j, e in enumerate(entries):
+        if e not in (0, 1):
+            raise ValueError(f"GF(2) entry must be 0 or 1, got {e!r}")
+        bits |= int(e) << j
+    return bits
+
+
+def f2_unpack(rows: Sequence[int]) -> list[list[int]]:
+    n = len(rows)
+    return [[r >> j & 1 for j in range(n)] for r in rows]
+
+
+def f2_entry(rows: Sequence[int], i: int, j: int) -> int:
+    return rows[i] >> j & 1
+
+
+def f2_is_symmetric(rows: Sequence[int]) -> bool:
+    """Each set bit (i, j) needs its mirror: O(n + edges), not n^2."""
+    for i, r in enumerate(rows):
+        while r:
+            low = r & -r
+            if not rows[low.bit_length() - 1] >> i & 1:
+                return False
+            r ^= low
+    return True
+
+
+def f2_mat_vec(rows: Sequence[int], xs: Sequence) -> list[int]:
+    packed = f2_pack_row(xs)
+    return [(r & packed).bit_count() & 1 for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -589,186 +598,49 @@ def f2_rank_det(rows: Sequence[int], bits: int) -> tuple[int, int]:
     return rnk, int(rnk == bits.bit_count())
 
 
-def f2_submatrix_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple[int, ...]:
-    """Rows ``idx`` of packed GF(2) rows, each with its bits ``idx`` gathered into the low bits."""
-    out = []
-    for i in idx:
-        r, bits = rows[i], 0
-        for jj, j in enumerate(idx):
-            if r >> j & 1:
-                bits |= 1 << jj
-        out.append(bits)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Rational kernels on cleared integer rows.
-
-def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[list[int]]]:
-    """Scale each row by the lcm d of its denominators: (the d's, the integer rows).
-
-    Scaling a row keeps the rank of every principal submatrix and multiplies
-    the determinant by d; eliminations then run on Python ints.
-    """
-    scales = [lcm(*(e.denominator for e in row)) for row in rows]
-    ints = [[e.numerator * (d // e.denominator) for e in row] for d, row in zip(scales, rows)]
-    return scales, ints
-
-
-def q_submatrix_rows(rows: Sequence[Sequence[Fraction]], idx: Sequence[int]) -> tuple:
-    """Rows ``idx`` of a rational matrix, each cut down to the entries ``idx``."""
-    return tuple(tuple(rows[i][j] for j in idx) for i in idx)
-
-
-def q_rank_det(rows: Sequence[Sequence[Fraction]], bits: int) -> tuple[int, Fraction]:
-    """Bareiss elimination on the cleared block on mask ``bits``; returns (rank, determinant).
-
-    Each update p*a - f*b is divided exactly by the previous pivot, so every
-    entry stays a minor of the cleared block and the last pivot is its
-    determinant, up to the sign of the row swaps; for the empty block it is 1.
-    """
-    scales, a = _cleared(q_submatrix_rows(rows, tuple(mask_items(range(len(rows)), bits))))
-    m = len(a)
-    prev, sign, r = 1, 1, 0
-    for col in range(m):
-        piv = next((i for i in range(r, m) if a[i][col]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        rowr = a[r]
-        p = rowr[col]
-        for i in range(r + 1, m):
-            f = a[i][col]
-            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], rowr)]
-        prev = p
-        r += 1
-    if r == m:
-        return r, Fraction(sign * prev, prod(scales))
-    return r, Fraction(0)
-
-
-def q_subset_nullities(rows: Sequence[Sequence[Fraction]]) -> list[int]:
-    """Rational twin of :func:`f2_subset_nullities`, fraction-free.
-
-    The walk runs on the cleared rows with the same pending list.  A nonzero
-    candidate v takes its first nonzero column c as pivot, p = v[c], and
-    each later row w with f = w[c] nonzero becomes p*w - f*v divided by the
-    gcd of its entries, so the child's list vanishes on c.  The echelon
-    argument of the GF(2) walk carries over unchanged; dividing by the gcd
-    keeps each row primitive, which bounds its entries by minors of the
-    cleared matrix.  The last level is unrolled to a zero test per leaf.
-    """
-    n = len(rows)
-    out = [0] * (1 << n)
-    if not n:
-        return out
-    _, ints = _cleared(rows)
-    last = n - 1
-    top = 1 << last
-
-    def walk(i: int, mask: int, nul: int, pending: list[list[int]]) -> None:
-        if i == last:
-            out[mask] = nul + (not any(pending[0]))
-            out[mask | top] = nul + (not any(pending[1]))
-            return
-        rest = pending[2:]
-        for m, v in ((mask, pending[0]), (mask | 1 << i, pending[1])):
-            for c, p in enumerate(v):
-                if p:
-                    break
-            else:
-                walk(i + 1, m, nul + 1, rest)
-                continue
-            child = []
-            for w in rest:
-                f = w[c]
-                if f:
-                    w = [p * x - f * y for x, y in zip(w, v)]
-                    g = gcd(*w)
-                    if g > 1:
-                        w = [x // g for x in w]
-                child.append(w)
-            walk(i + 1, m, nul, child)
-
-    units = [[int(i == j) for j in range(n)] for i in range(n)]
-    walk(0, 0, 0, [x for u, r in zip(units, ints) for x in (u, r)])
-    del walk  # frees ``out`` with the caller, as in f2_subset_nullities
-    return out
-
-
-def q_pivot_rows(rows: Sequence[Sequence[Fraction]], bits: int) -> "tuple | None":
-    """Rational twin of :func:`f2_pivot_rows`, fraction-free.
-
-    Relation row i is the cleared (d_i A_i | -d_i e_i).  Each step replaces
-    every other row by p*row - f*pivot_row divided exactly by the previous
-    pivot (Bareiss), so all entries stay integers.  A row's output, x_j for
-    j in X or y_i outside X, is its entries over minus its own coefficient.
-    """
-    n = len(rows)
-    scales, ints = _cleared(rows)
-    rel = [r + [0] * n for r in ints]
-    for i, d in enumerate(scales):
-        rel[i][n + i] = -d
-    prev = 1
-    for j in range(n):
-        if not bits >> j & 1:
-            continue
-        piv = next((k for k in range(j, n) if bits >> k & 1 and rel[k][j]), None)
-        if piv is None:
-            return None
-        rel[j], rel[piv] = rel[piv], rel[j]
-        pr = rel[j]
-        p = pr[j]
-        for i in range(n):
-            if i != j:
-                f = rel[i][j]
-                rel[i] = [(p * x - f * y) // prev for x, y in zip(rel[i], pr)]
-        prev = p
-    out = []
-    for i, r in enumerate(rel):
-        own = -(r[i] if bits >> i & 1 else r[n + i])
-        out.append(tuple(Fraction(r[n + t] if bits >> t & 1 else r[t], own) for t in range(n)))
-    return tuple(out)
-
-
-def q_nullity_histogram(rows: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
-    """How many masks X give A[X] over Q each nullity 0..n, counted from the sweep."""
-    return _class_sizes(q_subset_nullities(rows), len(rows))
-
-
 # ---------------------------------------------------------------------------
 # Operations on Matrix values.
 
 class FieldKernels(_Value):
-    """One field's kernels, each on that field's row format.
+    """One field's kernels and row format (``check_rows`` to ``mat_vec``).
 
     By nullity invariance nothing else differs between GF(2) and Q, so
-    each operation that eliminates looks its field's record up in
-    ``KERNELS`` once and holds no field branch.
+    ``Matrix`` and each operation look their field's record up in
+    ``KERNELS`` and hold no field branch.
     """
 
     __slots__ = (
-        "rank_det", "submatrix_rows", "pivot_rows", "subset_nullities", "nullity_histogram",
+        "rank_det", "pivot_rows", "subset_nullities", "nullity_histogram",
+        "check_rows", "pack_row", "unpack", "entry", "is_symmetric", "mat_vec",
     )
 
 
-KERNELS = {
+class _FieldTable(dict):
+    """``KERNELS`` imports the rational record on its first lookup, so a
+    process that sees only GF(2) data never loads ``fractions``."""
+
+    def __missing__(self, field):
+        if field != RATIONAL:
+            raise ValueError(f"unknown field {field!r}")
+        from .rational import KERNELS as record
+
+        self[field] = record
+        return record
+
+
+KERNELS = _FieldTable({
     GF2: FieldKernels(
-        f2_rank_det, f2_submatrix_rows, f2_pivot_rows, f2_subset_nullities, f2_nullity_histogram,
+        f2_rank_det, f2_pivot_rows, f2_subset_nullities, f2_nullity_histogram,
+        f2_check_rows, f2_pack_row, f2_unpack, f2_entry, f2_is_symmetric, f2_mat_vec,
     ),
-    RATIONAL: FieldKernels(
-        q_rank_det, q_submatrix_rows, q_pivot_rows, q_subset_nullities, q_nullity_histogram,
-    ),
-}
+})
 
 
 def principal_submatrix(A: Matrix, X: SubsetMask) -> Matrix:
     """The principal submatrix of A on the labels of X."""
     check_same_domain(A, X)
-    rows = KERNELS[A.field].submatrix_rows(A.rows, X.indices())
-    return Matrix(A.field, X.labels(), rows)
+    dense, idx = A.to_entries(), X.indices()
+    return Matrix.from_entries(A.field, X.labels(), [[dense[i][j] for j in idx] for i in idx])
 
 
 def delete_label(A: Matrix, label: str) -> Matrix:
@@ -801,8 +673,8 @@ def nullity_by_bits(A: Matrix, bits: int) -> int:
 
     One elimination per call, for spot checks of single subsets; a sweep
     over every subset goes through :func:`f2_subset_nullities` or
-    :func:`q_subset_nullities`.  A mask outside the domain raises
-    ``ValueError``.
+    :func:`pivotpoly.rational.q_subset_nullities`.  A mask outside the
+    domain raises ``ValueError``.
     """
     return len(SubsetMask(A.domain, bits)) - _block_rank_det(A, bits)[0]
 
@@ -844,11 +716,8 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     if A.field != B.field:
         raise ValueError(f"matrix product needs matching fields: {A.field} and {B.field}")
     check_same_domain(A, B)
-    cols = list(zip(*B.to_entries()))
-    entries = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in A.to_entries()]
-    if A.field == GF2:
-        entries = [[e % 2 for e in row] for row in entries]
-    return Matrix.from_entries(A.field, A.domain, entries)
+    cols = [mat_vec(A, col) for col in zip(*B.to_entries())]
+    return Matrix.from_entries(A.field, A.domain, zip(*cols))
 
 
 def mat_vec(A: Matrix, xs: Sequence) -> list:
@@ -856,15 +725,4 @@ def mat_vec(A: Matrix, xs: Sequence) -> list:
     if len(xs) != A.n:
         raise ValueError("vector length differs from matrix dimension")
     _reject_floats(xs)
-    if A.field == GF2:
-        packed = 0
-        for i, v in enumerate(xs):
-            if v not in (0, 1):
-                raise ValueError("GF(2) vector entries must be 0 or 1")
-            packed |= int(v) << i
-        return [(A.rows[i] & packed).bit_count() & 1 for i in range(A.n)]
-    vec = [Fraction(v) for v in xs]
-    return [
-        sum((A.rows[i][j] * vec[j] for j in range(A.n)), Fraction(0))
-        for i in range(A.n)
-    ]
+    return KERNELS[A.field].mat_vec(A.rows, xs)

@@ -56,8 +56,8 @@ def subset_nullities(A: Matrix) -> list[int]:
     partition sequence are all read off its list.  It is one depth-first
     walk over the labels that keeps the candidate rows of later levels
     reduced against the rows chosen so far, so each subset costs a zero
-    test (see :func:`~pivotpoly.matrix.f2_subset_nullities`), not an
-    elimination.
+    test (see :func:`~pivotpoly.matrix.f2_subset_nullities` and
+    :func:`~pivotpoly.rational.q_subset_nullities`), not an elimination.
     """
     check_enumeration_cap(A.n)
     return KERNELS[A.field].subset_nullities(A.rows)

@@ -804,30 +804,41 @@ def test_lazy_package_binds_the_same_names_as_an_eager_one():
 
 def _modules_loaded_by(argv: list[str]) -> str:
     """Stdout of ``cli.main(argv)`` in a fresh interpreter, followed by its
-    exit code, the pivotpoly modules it loaded and whether it loaded
-    dataclasses."""
+    exit code, the pivotpoly modules it loaded and which of dataclasses,
+    fractions, decimal and numbers it loaded."""
     return _fresh_interpreter(
         "import sys\n"
         "from pivotpoly import cli\n"
         f"code = cli.main({argv!r})\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'pivotpoly'),"
-        " 'dataclasses' in sys.modules)\n"
+        " [m for m in ('dataclasses', 'fractions', 'decimal', 'numbers') if m in sys.modules])\n"
     )
+
+
+# The modules `pivotpoly nullity` loads over either field.
+_NULLITY_MODULES = [
+    "pivotpoly",
+    "pivotpoly.cli",
+    "pivotpoly.formats",
+    "pivotpoly.graphs",
+    "pivotpoly.matrix",
+    "pivotpoly.pivot",
+]
 
 
 def test_nullity_command_imports_only_what_it_runs(tmp_path):
     path = tmp_path / "one.mat"
     path.write_text("field f2\na\n1\n")
     out = _modules_loaded_by(["nullity", "--matrix", str(path)])
-    expected = [
-        "pivotpoly",
-        "pivotpoly.cli",
-        "pivotpoly.formats",
-        "pivotpoly.graphs",
-        "pivotpoly.matrix",
-        "pivotpoly.pivot",
-    ]
-    assert out == f"0\n0 {expected} False\n"
+    assert out == f"0\n0 {_NULLITY_MODULES} []\n"
+
+
+def test_rational_data_loads_the_rational_module_and_fractions(tmp_path):
+    path = tmp_path / "one.mat"
+    path.write_text("field q\na\n1\n")
+    out = _modules_loaded_by(["nullity", "--matrix", str(path)])
+    expected = sorted([*_NULLITY_MODULES, "pivotpoly.rational"])
+    assert out == f"0\n0 {expected} ['fractions', 'decimal', 'numbers']\n"
 
 
 def test_recursive_interlace_loads_no_sweep_module(tmp_path):
@@ -843,7 +854,7 @@ def test_recursive_interlace_loads_no_sweep_module(tmp_path):
         "pivotpoly.matrix",
         "pivotpoly.pivot",
     ]
-    assert out == f"q': 2 2\nq: 0 2\n0 {expected} False\n"
+    assert out == f"q': 2 2\nq: 0 2\n0 {expected} []\n"
 
 
 def test_every_public_callable_has_resolvable_type_hints():
@@ -852,7 +863,7 @@ def test_every_public_callable_has_resolvable_type_hints():
         for info in pkgutil.iter_modules(pivotpoly.__path__)
         if info.name != "__main__"
     ]
-    assert len(modules) == 10
+    assert len(modules) == 11
     for module in modules:
         for name in module.__all__:
             value = getattr(module, name)

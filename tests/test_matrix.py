@@ -35,14 +35,8 @@ from pivotpoly import (
     schur_complement,
     transpose,
 )
-from pivotpoly.matrix import (
-    KERNELS,
-    check_labels,
-    nullity_by_bits,
-    q_pivot_rows,
-    q_rank_det,
-    q_subset_nullities,
-)
+from pivotpoly.matrix import KERNELS, check_labels, nullity_by_bits
+from pivotpoly.rational import q_pivot_rows, q_rank_det, q_subset_nullities
 from pivotpoly.randgen import labels_for, random_graph, random_matrix, random_vector
 
 import oracles

@@ -28,7 +28,7 @@ from pivotpoly.setsystems import (
     nullity_histogram,
     subset_nullities,
 )
-from pivotpoly import matrix
+from pivotpoly import matrix, rational
 from pivotpoly.cli import main
 from pivotpoly.interlace import nullity_polynomial
 from pivotpoly.randgen import labels_for, random_graph, random_matrix, random_valid_pivot_subset
@@ -353,17 +353,17 @@ def test_rational_walk_keeps_integers_small(monkeypatch):
     # that bound squared.  Without the division the sizes grow geometrically
     # with the depth.
     sizes = []
-    real_gcd = matrix.gcd
+    real_gcd = rational.gcd
 
     def recording_gcd(*xs):
         sizes.append(max(abs(x) for x in xs).bit_length())
         return real_gcd(*xs)
 
-    monkeypatch.setattr(matrix, "gcd", recording_gcd)
+    monkeypatch.setattr(rational, "gcd", recording_gcd)
     for A in rational_stress_matrices(random.Random(43), 16, 9):
         sizes.clear()
         assert subset_nullities(A) == subset_nullities_by_elimination(A)
-        _, ints = matrix._cleared(A.rows)
+        _, ints = rational._cleared(A.rows)
         top = max((abs(x) for row in ints for x in row), default=0).bit_length()
         bound = 2 * A.n * (top + A.n.bit_length()) + 2
         assert max(sizes, default=0) <= bound, (A.n, max(sizes), bound)
@@ -387,8 +387,8 @@ def test_sweep_runs_no_per_subset_elimination(monkeypatch):
     # attributes for kernels that call one another.
     for field in (GF2, RATIONAL):
         patch_kernels(monkeypatch, field, rank_det=counted(field, matrix.KERNELS[field].rank_det))
-    for name in ("nullity_by_bits", "f2_rank_rows", "q_rank_det"):
-        monkeypatch.setattr(matrix, name, counted(name, getattr(matrix, name)))
+    for module, name in ((matrix, "nullity_by_bits"), (matrix, "f2_rank_rows"), (rational, "q_rank_det")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     rng = random.Random(31)
     for field in (GF2, RATIONAL):
         A = random_matrix(rng, field, 6)
