@@ -11,7 +11,6 @@ evaluated here as an independent second method.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Sequence
 from operator import add
 
@@ -30,14 +29,13 @@ __all__ = [
     "verify_recursion",
 ]
 
-# The graph deletion recursion memoises each distinct subgraph it reaches,
-# and this cap bounds the rows its memo stores over all entries.  Rows, not
-# entries: a subgraph's key and coefficients grow with its size, so on long
-# paths one entry holds hundreds of rows.  A call that reaches the cap has
-# run about 4 s and peaked near 160 MB on a random graph of 26 to 40
-# vertices.  Paths no longer reach it: their memo holds about n^2 / 2 rows,
-# 0.49 M at 990 vertices (0.2 s, 75 MB), and a path of 1 000 vertices
-# already runs past Python's recursion limit.
+# The graph deletion recursion expands each distinct subgraph it reaches
+# once, and this cap bounds the rows of all those subgraphs together,
+# which bounds both the rows held at once and the time.  Rows, not
+# entries: on long paths one entry holds hundreds of rows.  A call that
+# reaches the cap has run about 1 s and peaked near 90-135 MB on a random
+# graph of 26 to 36 vertices.  A path on n vertices in label order reaches
+# about n^2 / 2 rows, so it finishes up to 2 895 vertices (990 in 0.2 s).
 RECURSION_MEMO_CAP = 1 << 22
 
 
@@ -164,65 +162,65 @@ def interlace_recursive(G: Matrix) -> Poly:
     follows: {u} if u is looped, else {u, v} for the highest neighbour v of
     u.  G[{u, v}] is nonsingular whether or not v is looped, and G*X - u is
     one call of the graph-pivot kernel either way.  A trailing run of isolated
-    loopless vertices contributes y each and is stripped in one step, so a
-    discrete graph on n vertices gives y^n at once.  Deleting the last
-    vertex drops the last row and column, so every subgraph reached lives on
-    a prefix of the labels.
+    loopless vertices contributes y each and is stripped, so a discrete graph
+    on n vertices gives y^n at once.  Deleting the last vertex drops the last
+    row and column, so every subgraph reached lives on a prefix of the labels.
 
-    Each call keeps a memo from packed row tuples to coefficient tuples, so
-    a subgraph reached along several branches is solved once; the memo is
-    dropped when the call returns.  Its size is bounded by the rows it
-    stores, at most ``RECURSION_MEMO_CAP`` over all entries, past which
+    The recursion runs as one pass over subgraph sizes, largest first, with
+    no Python recursion: ``levels[k]`` maps each distinct stripped subgraph
+    on k vertices to its weight, the sum of y^j over the ways the recursion
+    reaches it with j isolated vertices stripped.  Each subgraph is expanded
+    once, after every larger one, so its weight is complete; its two
+    children's weights grow by it, and q(G) is the weight of the empty
+    graph.  A level is dropped once it is expanded, so the rows held are
+    those of the subgraphs still to expand.  ``RECURSION_MEMO_CAP`` bounds
+    the rows of all distinct subgraphs reached, and so the time, past which
     ``ValueError`` is raised.  The bound is on subgraphs, not labels, so
-    sparse graphs well past ``ENUMERATION_CAP`` finish (a path on 300
-    vertices takes about 20 ms).  Each level deletes at least one vertex,
-    so a chain of deletions longer than Python's recursion limit also
-    raises ``ValueError``; graphs that need no deep chain (a discrete graph
-    needs none) are not limited by their size.
+    sparse graphs well past ``ENUMERATION_CAP`` finish, and no depth limits
+    it: a path or a matching of a thousand edges finishes.
     """
     require_graph(G)
-    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-    room = RECURSION_MEMO_CAP
-
-    def recurse(rows: tuple[int, ...]) -> tuple[int, ...]:
-        nonlocal room
-        n = k = len(rows)
-        while k and not rows[k - 1]:
-            k -= 1
-        # The last n - k vertices are isolated and loopless: y each.
-        zeros = (0,) * (n - k)
-        if not k:
-            return zeros + (1,)
-        rows = rows[:k]
-        coeffs = memo.get(rows)
-        if coeffs is None:
-            room -= k
+    levels: list[dict[tuple[int, ...], tuple[int, ...]]] = [{} for _ in range(G.n + 1)]
+    room = RECURSION_MEMO_CAP - _reach(levels, G.rows, (1,))
+    for u in range(G.n - 1, -1, -1):
+        low = (1 << u) - 1
+        # The levels above u + 1 are popped already, so this is levels[u + 1].
+        for rows, weight in levels.pop().items():
+            # Every new entry is expanded later, so checking here misses none.
             if room < 0:
                 raise ValueError(
                     f"deletion recursion exceeds the memo cap of {RECURSION_MEMO_CAP} rows"
                 )
-            u = k - 1
-            low = (1 << u) - 1
-            a = recurse(tuple([r & low for r in rows[:u]]))
+            room -= _reach(levels, tuple([r & low for r in rows[:u]]), weight)
             # The top bit of u's row is u itself when u is looped, else its
             # highest neighbour v: X = {u} or {u, v}.
             part = 1 << u | 1 << (rows[u].bit_length() - 1)
-            b = recurse(_elementary_pivot_rows(rows, part, u))
-            if len(a) < len(b):
-                a, b = b, a
-            coeffs = tuple(map(add, a, b)) + a[len(b) :]
-            memo[rows] = coeffs
-        return zeros + coeffs
+            room -= _reach(levels, _elementary_pivot_rows(rows, part, u), weight)
+    return Poly.of(levels[0][()])
 
-    try:
-        return Poly.of(recurse(G.rows))
-    except RecursionError:
-        raise ValueError(
-            f"deletion recursion on {G.n} labels runs deeper than Python's "
-            f"recursion limit of {sys.getrecursionlimit()} frames"
-        ) from None
-    finally:
-        del recurse  # frees the memo now, as the sweep kernels free theirs
+
+def _reach(
+    levels: list[dict[tuple[int, ...], tuple[int, ...]]],
+    rows: tuple[int, ...],
+    weight: tuple[int, ...],
+) -> int:
+    """Add y^j * ``weight`` to the level of ``rows`` stripped of its j
+    trailing isolated loopless vertices; return the rows of a new entry."""
+    k = len(rows)
+    while k and not rows[k - 1]:
+        k -= 1
+    if k < len(rows):
+        weight = (0,) * (len(rows) - k) + weight
+        rows = rows[:k]
+    level = levels[k]
+    old = level.get(rows)
+    if old is None:
+        level[rows] = weight
+        return k
+    if len(old) < len(weight):
+        old, weight = weight, old
+    level[rows] = tuple(map(add, old, weight)) + old[len(weight) :]
+    return 0
 
 
 def verify_recursion(A: Matrix, u: str, X: SubsetMask) -> Poly:

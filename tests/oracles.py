@@ -249,3 +249,27 @@ def orbit_text_by_objects(orbit) -> str:
     for a, X, b in orbit.moves:
         out.append(f"{a} {X} {b}\n")
     return "".join(out)
+
+
+def recursion_memo_rows(entries) -> int:
+    """Sum of k over the distinct subgraphs on k >= 1 vertices that the
+    last-vertex deletion recursion reaches from the 0/1 graph ``entries``,
+    each stripped of its trailing isolated loopless vertices.  X is {u} for
+    a looped last vertex u, else {u, v} for its highest neighbour v, and the
+    pivot is taken by the block formula."""
+    seen = set()
+
+    def walk(a):
+        while a and not any(a[-1]):
+            a = [row[:-1] for row in a[:-1]]
+        key = tuple(map(tuple, a))
+        if not a or key in seen:
+            return
+        seen.add(key)
+        u = len(a) - 1
+        xs = [u] if a[u][u] else [max(j for j in range(u) if a[u][j]), u]
+        for b in (a, block_formula_pivot(a, xs, mod2=True)):
+            walk([row[:u] for row in b[:u]])
+
+    walk([list(row) for row in entries])
+    return sum(map(len, seen))

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from pivotpoly import (
     Poly,
     PivotUndefinedError,
     SubsetMask,
+    edges_of,
     graph_from_edges,
     interlace_from_nullity,
     interlace_polynomial,
@@ -29,6 +31,7 @@ from pivotpoly import (
 )
 from pivotpoly.randgen import random_graph, random_matrix, random_valid_pivot_subset
 
+from oracles import recursion_memo_rows
 from samples import all_graphs, path_graph, pivot_pair_left, sample_rational_matrix
 
 
@@ -233,17 +236,57 @@ def test_recursion_memo_cap(monkeypatch):
         interlace_recursive(path_graph(16))
 
 
+def test_recursion_memo_cap_counts_each_distinct_subgraph_once(monkeypatch):
+    # The cap is reached exactly when the rows of the distinct stripped
+    # subgraphs reached exceed it, whatever order they are reached in.
+    rng = random.Random(75)
+    for _ in range(50):
+        G = random_graph(rng, rng.randint(1, 9))
+        total = recursion_memo_rows(G.to_entries())
+        monkeypatch.setattr(interlace_module, "RECURSION_MEMO_CAP", total)
+        assert interlace_recursive(G) == interlace_polynomial(G)
+        if total:
+            monkeypatch.setattr(interlace_module, "RECURSION_MEMO_CAP", total - 1)
+            with pytest.raises(ValueError, match=f"memo cap of {total - 1} rows"):
+                interlace_recursive(G)
+
+
+def test_recursion_does_not_depend_on_the_label_order():
+    rng = random.Random(76)
+    for _ in range(60):
+        G = random_graph(rng, rng.randint(2, 10))
+        image = list(G.domain)
+        while image == list(G.domain):
+            rng.shuffle(image)
+        rename = dict(zip(G.domain, image))
+        H = graph_from_edges(G.domain, [(rename[a], rename[b]) for a, b in edges_of(G)])
+        assert interlace_recursive(H) == interlace_recursive(G) == interlace_polynomial(G)
+
+
+def test_recursion_on_a_long_path_holds_little_memory():
+    # Only the subgraphs still to expand are held: on a path in label
+    # order that is a few short-lived entries, not one per subgraph.
+    labels = [f"v{i:03d}" for i in range(990)]
+    G = graph_from_edges(labels, list(zip(labels, labels[1:])))
+    expected = path_polynomials(991)[990]
+    tracemalloc.start()
+    try:
+        q = interlace_recursive(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q == expected
+    assert peak < 4 << 20
+
+
 def test_recursion_leaves_no_reference_cycle(monkeypatch):
-    # A cycle would keep the memo alive until the next garbage collection,
-    # after a return and after either failure alike.
+    # A cycle would keep the recursion's levels alive until the next
+    # garbage collection, after a return and after a failure alike.
     G = random_graph(random.Random(1), 12)
     gc.collect()
     gc.disable()
     try:
         interlace_recursive(G)
-        assert gc.collect() == 0
-        with pytest.raises(ValueError, match="recursion limit"):
-            interlace_recursive(path_graph(1200))
         assert gc.collect() == 0
         monkeypatch.setattr(interlace_module, "RECURSION_MEMO_CAP", 100)
         with pytest.raises(ValueError, match="memo cap"):
