@@ -13,21 +13,8 @@ import os
 import random
 import sys
 
-# The modules every command needs.  The rest (setsystems, interlace,
-# circuits, randgen) are imported by the handlers that run them, so a
-# process loads only what its command uses.
-from . import graphs
-from .graphs import OrbitOverflowError
-from .formats import (
-    FormatError,
-    _partition_lines,
-    format_graph,
-    format_matrix,
-    format_norm,
-    format_orbit_blocks,
-    parse_graph,
-    parse_matrix,
-)
+# The modules every command needs.  The rest are imported by the handlers
+# that run them, so a process loads only what its command uses.
 from .matrix import (
     GF2,
     RATIONAL,
@@ -61,10 +48,12 @@ def _split_labels(arg: str) -> list[str]:
 
 
 def _read(path: str) -> str:
+    from .formats import FormatError
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read {path}: {e}") from None
 
 
@@ -88,53 +77,9 @@ def _trial_size(arg: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="pivotpoly",
-        description="Exact pivots, partition sequences, and interlace polynomials.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("pivot", help="pivot a matrix on a label subset")
-    sp.add_argument("--matrix", required=True, metavar="FILE")
-    sp.add_argument("--on", required=True, type=_split_labels, metavar="LABELS", help="comma-separated labels")
-
-    sp = sub.add_parser("nullity", help="nullity of a matrix or principal submatrix")
-    sp.add_argument("--matrix", required=True, metavar="FILE")
-    sp.add_argument("--subset", type=_split_labels, metavar="LABELS")
-
-    sp = sub.add_parser("pseq", help="partition sequence of a matrix")
-    sp.add_argument("--matrix", required=True, metavar="FILE")
-    sp.add_argument("--norm-only", action="store_true")
-
-    sp = sub.add_parser("interlace", help="interlace polynomial of a graph")
-    sp.add_argument("--graph", required=True, metavar="FILE")
-    sp.add_argument("--method", choices=("direct", "recursive", "both"), default="both")
-
-    sp = sub.add_parser("overlap", help="overlap graph of a double occurrence string")
-    sp.add_argument("--dos", required=True, metavar="STRING")
-
-    sp = sub.add_parser("walks", help="closed-walk partition induced by a flip set")
-    sp.add_argument("--dos", required=True, metavar="STRING")
-    sp.add_argument("--flip", required=True, type=_split_labels, metavar="LABELS")
-
-    sp = sub.add_parser("distribution", help="walk-count distribution over all flip sets")
-    sp.add_argument("--dos", required=True, metavar="STRING")
-
-    sp = sub.add_parser("orbit", help="pivot orbit of a graph")
-    sp.add_argument("--graph", required=True, metavar="FILE")
-    sp.add_argument("--max-graphs", type=_at_least_one, default=10**6)
-
-    sp = sub.add_parser("verify", help="randomized property verification")
-    sp.add_argument("--prop", required=True, choices=VERIFY_PROPS)
-    sp.add_argument("--trials", type=_at_least_one, default=100)
-    sp.add_argument("--size", type=_trial_size, default=6)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--field", choices=(GF2, RATIONAL), default=GF2)
-    return p
-
-
 def _cmd_pivot(args) -> int:
+    from .formats import format_matrix, parse_matrix
+
     A = parse_matrix(_read(args.matrix))
     X = SubsetMask.of(A.domain, args.on)
     print(format_matrix(pivot(A, X)), end="")
@@ -142,6 +87,8 @@ def _cmd_pivot(args) -> int:
 
 
 def _cmd_nullity(args) -> int:
+    from .formats import parse_matrix
+
     A = parse_matrix(_read(args.matrix))
     X = A.full_subset() if args.subset is None else SubsetMask.of(A.domain, args.subset)
     print(nullity_by_bits(A, X.bits))
@@ -150,6 +97,7 @@ def _cmd_nullity(args) -> int:
 
 def _cmd_pseq(args) -> int:
     from . import setsystems
+    from .formats import _partition_lines, format_norm, parse_matrix
 
     A = parse_matrix(_read(args.matrix))
     if args.norm_only:
@@ -161,6 +109,7 @@ def _cmd_pseq(args) -> int:
 
 def _cmd_interlace(args) -> int:
     from . import interlace
+    from .formats import parse_graph
 
     G = parse_graph(_read(args.graph))
     if args.method == "recursive":
@@ -181,6 +130,7 @@ def _cmd_interlace(args) -> int:
 
 def _cmd_overlap(args) -> int:
     from . import circuits
+    from .formats import format_graph
 
     s = circuits.parse_dos(args.dos)
     print(format_graph(circuits.overlap_graph(s)), end="")
@@ -206,6 +156,7 @@ def _cmd_walks(args) -> int:
 
 def _cmd_distribution(args) -> int:
     from . import circuits, setsystems
+    from .formats import format_norm
 
     s = circuits.parse_dos(args.dos)
     dist = circuits.walk_distribution(s)
@@ -218,21 +169,32 @@ def _cmd_distribution(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    from . import graphs
+    from .formats import format_orbit_blocks, parse_graph
+
     G = parse_graph(_read(args.graph))
-    rows, moves = graphs._orbit_search(G, args.max_graphs)
+    try:
+        rows, moves = graphs._orbit_search(G, args.max_graphs)
+    except graphs.OrbitOverflowError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     sys.stdout.writelines(format_orbit_blocks(G.domain, rows, moves))
     return 0
 
 
 def _verify_trial(prop: str, rng: random.Random, size: int, field: str) -> bool:
-    from . import circuits, interlace, randgen, setsystems
+    from . import randgen, setsystems
 
     n = rng.randint(1, size)
     if prop == "cohn-lempel":
+        from . import circuits
+
         s = randgen.random_dos(rng, n)
         nullities = setsystems.subset_nullities(circuits.overlap_graph(s))
         return circuits.walk_counts(s) == [k + 1 for k in nullities]
     if prop == "recursion":
+        from . import interlace
+
         if field == GF2:
             G = randgen.random_graph(rng, n)
             direct = interlace.interlace_from_nullity(interlace.nullity_polynomial(G))
@@ -277,30 +239,103 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-_HANDLERS = {
-    "pivot": _cmd_pivot,
-    "nullity": _cmd_nullity,
-    "pseq": _cmd_pseq,
-    "interlace": _cmd_interlace,
-    "overlap": _cmd_overlap,
-    "walks": _cmd_walks,
-    "distribution": _cmd_distribution,
-    "orbit": _cmd_orbit,
-    "verify": _cmd_verify,
+# Each command's handler, help line and arguments, in the order help lists
+# them.  build_parser builds every subparser, or one, from this table.
+_COMMANDS = {
+    "pivot": (_cmd_pivot, "pivot a matrix on a label subset", (
+        ("--matrix", dict(required=True, metavar="FILE")),
+        ("--on", dict(required=True, type=_split_labels, metavar="LABELS", help="comma-separated labels")),
+    )),
+    "nullity": (_cmd_nullity, "nullity of a matrix or principal submatrix", (
+        ("--matrix", dict(required=True, metavar="FILE")),
+        ("--subset", dict(type=_split_labels, metavar="LABELS")),
+    )),
+    "pseq": (_cmd_pseq, "partition sequence of a matrix", (
+        ("--matrix", dict(required=True, metavar="FILE")),
+        ("--norm-only", dict(action="store_true")),
+    )),
+    "interlace": (_cmd_interlace, "interlace polynomial of a graph", (
+        ("--graph", dict(required=True, metavar="FILE")),
+        ("--method", dict(choices=("direct", "recursive", "both"), default="both")),
+    )),
+    "overlap": (_cmd_overlap, "overlap graph of a double occurrence string", (
+        ("--dos", dict(required=True, metavar="STRING")),
+    )),
+    "walks": (_cmd_walks, "closed-walk partition induced by a flip set", (
+        ("--dos", dict(required=True, metavar="STRING")),
+        ("--flip", dict(required=True, type=_split_labels, metavar="LABELS")),
+    )),
+    "distribution": (_cmd_distribution, "walk-count distribution over all flip sets", (
+        ("--dos", dict(required=True, metavar="STRING")),
+    )),
+    "orbit": (_cmd_orbit, "pivot orbit of a graph", (
+        ("--graph", dict(required=True, metavar="FILE")),
+        ("--max-graphs", dict(type=_at_least_one, default=10**6)),
+    )),
+    "verify": (_cmd_verify, "randomized property verification", (
+        ("--prop", dict(required=True, choices=VERIFY_PROPS)),
+        ("--trials", dict(type=_at_least_one, default=100)),
+        ("--size", dict(type=_trial_size, default=6)),
+        ("--seed", dict(type=int, default=0)),
+        ("--field", dict(choices=(GF2, RATIONAL), default=GF2)),
+    )),
 }
 
 
+class _Unparsed(Exception):
+    """A one-command parser met an error; the full parser reports it."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Unparsed
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``command`` only that one's.
+
+    A one-command parser prints its own ``--help``, which is the full
+    parser's, but raises :class:`_Unparsed` on any error in place of
+    printing: its usage line would name only one command.
+    """
+    p = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+        prog="pivotpoly",
+        description="Exact pivots, partition sequences, and interlace polynomials.",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=help_line)
+            for flag, options in arguments:
+                sp.add_argument(flag, **options)
+    return p
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` building only the subparser of the command it names.
+
+    No command, top-level help, an unknown command and every parse error
+    go through the full parser, so each help, usage and error text is the
+    full parser's.
+    """
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return build_parser(argv[0]).parse_args(argv)
+        except _Unparsed:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     if args.command == "verify" and args.prop == "cohn-lempel" and args.field != GF2:
-        parser.error("argument --field: cohn-lempel is a GF(2) property; use --field f2")
+        build_parser().error("argument --field: cohn-lempel is a GF(2) property; use --field f2")
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except SingularMatrixError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (FormatError, ValueError, OrbitOverflowError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

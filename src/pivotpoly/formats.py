@@ -20,7 +20,6 @@ import re
 from itertools import groupby
 from operator import itemgetter
 
-from .graphs import graph_from_edges, require_graph
 from .matrix import GF2, RATIONAL, Matrix, PartitionSequence, mask_items
 
 __all__ = [
@@ -98,6 +97,8 @@ def format_matrix(A: Matrix) -> str:
 
 
 def parse_graph(text: str) -> Matrix:
+    from .graphs import graph_from_edges
+
     lines = _content_lines(text)
     if not lines or lines[0] != "graph":
         raise FormatError("first line of a graph file must be 'graph'")
@@ -120,6 +121,8 @@ def _edge_pairs(lines):
 
 
 def format_graph(G: Matrix) -> str:
+    from .graphs import require_graph
+
     require_graph(G)
     return next(_graph_blocks(G.domain, (G.rows,)))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 import string
 
-from .graphs import graph_from_edges
 from .matrix import GF2, RATIONAL, Matrix, SubsetMask
 from .setsystems import subset_nullities
 
@@ -54,6 +53,8 @@ def random_matrix(rng: random.Random, field: str, n: int) -> Matrix:
 
 def random_graph(rng: random.Random, n: int) -> Matrix:
     """A symmetric GF(2) matrix: one fair bit per unordered pair, loops included."""
+    from .graphs import graph_from_edges
+
     labels = labels_for(n)
     pairs = ((u, v) for i, u in enumerate(labels) for v in labels[i:])
     return graph_from_edges(labels, [pair for pair in pairs if rng.randrange(2)])

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .matrix import FieldKernels, _class_sizes, mask_items
 
@@ -44,8 +45,14 @@ def q_is_symmetric(rows: tuple) -> bool:
 
 
 def q_mat_vec(rows: Sequence[Sequence[Fraction]], xs: Sequence) -> list:
-    vec = q_pack_row(xs)
-    return [sum((a * v for a, v in zip(row, vec)), Fraction(0)) for row in rows]
+    """A x on cleared integers: x is scaled once by the lcm e of its
+    denominators and row i by its own d_i, so entry i is one integer dot
+    product over d_i e, one Fraction an entry."""
+    vec = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
+    e = lcm(*(x.denominator for x in vec))
+    ys = [x.numerator * (e // x.denominator) for x in vec]
+    scales, ints = _cleared(rows)
+    return [Fraction(sum(map(mul, row, ys)), d * e) for d, row in zip(scales, ints)]
 
 
 # ---------------------------------------------------------------------------

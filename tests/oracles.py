@@ -173,6 +173,12 @@ def dense_product(a, b, mod2=False):
     return out
 
 
+def mat_vec_by_fractions(entries, xs) -> list:
+    """A x over Q as n Fraction products and sums an entry."""
+    vec = [Fraction(x) for x in xs]
+    return [sum((Fraction(a) * v for a, v in zip(row, vec)), Fraction(0)) for row in entries]
+
+
 def rational_rank_entrywise(entries) -> int:
     """Gaussian elimination over Fractions on a plain list-of-lists."""
     a = [[Fraction(x) for x in row] for row in entries]

@@ -699,6 +699,17 @@ def test_exit_code_for_bad_file(tmp_path, capsys):
     assert main(["nullity", "--matrix", str(tmp_path / "missing.mat")]) == 2
 
 
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    path = tmp_path / "latin.mat"
+    path.write_bytes(b"\xfffield f2\na\n1\n")
+    assert main(["nullity", "--matrix", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte\n",
+    )
+
+
 def _cli_env() -> dict:
     src = str(Path(pivotpoly.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -820,7 +831,6 @@ _NULLITY_MODULES = [
     "pivotpoly",
     "pivotpoly.cli",
     "pivotpoly.formats",
-    "pivotpoly.graphs",
     "pivotpoly.matrix",
     "pivotpoly.pivot",
 ]
@@ -839,6 +849,53 @@ def test_rational_data_loads_the_rational_module_and_fractions(tmp_path):
     out = _modules_loaded_by(["nullity", "--matrix", str(path)])
     expected = sorted([*_NULLITY_MODULES, "pivotpoly.rational"])
     assert out == f"0\n0 {expected} ['fractions', 'decimal', 'numbers']\n"
+
+
+def test_pseq_loads_the_sweep_and_no_graph_module(tmp_path):
+    path = tmp_path / "one.mat"
+    path.write_text("field f2\na\n1\n")
+    out = _modules_loaded_by(["pseq", "--matrix", str(path)])
+    expected = sorted([*_NULLITY_MODULES, "pivotpoly.setsystems"])
+    assert out == f"0: {{{{}},{{a}}}}\nnorm: (2,0)\n0 {expected} []\n"
+
+
+# The modules every `pivotpoly verify` run loads; no matrix file is read,
+# so `formats` is not among them.
+_VERIFY_MODULES = [
+    "pivotpoly",
+    "pivotpoly.cli",
+    "pivotpoly.matrix",
+    "pivotpoly.pivot",
+    "pivotpoly.randgen",
+    "pivotpoly.setsystems",
+]
+_RATIONAL_MODULES = (["pivotpoly.rational"], ["fractions", "decimal", "numbers"])
+
+
+@pytest.mark.parametrize(
+    "prop,field,extra",
+    [
+        ("nullity-invariance", GF2, ([], [])),
+        ("nullity-invariance", RATIONAL, _RATIONAL_MODULES),
+        ("tucker", GF2, ([], [])),
+        ("tucker", RATIONAL, _RATIONAL_MODULES),
+        ("partial-inverse", GF2, ([], [])),
+        ("partial-inverse", RATIONAL, _RATIONAL_MODULES),
+        ("twist", GF2, ([], [])),
+        ("twist", RATIONAL, _RATIONAL_MODULES),
+        ("recursion", GF2, (["pivotpoly.graphs", "pivotpoly.interlace"], [])),
+        (
+            "recursion",
+            RATIONAL,
+            (["pivotpoly.graphs", "pivotpoly.interlace", "pivotpoly.rational"], _RATIONAL_MODULES[1]),
+        ),
+        ("cohn-lempel", GF2, (["pivotpoly.circuits", "pivotpoly.graphs"], [])),
+    ],
+)
+def test_verify_loads_only_what_its_property_runs(prop, field, extra):
+    modules, stdlib = extra
+    out = _modules_loaded_by(["verify", "--prop", prop, "--field", field, "--trials", "5", "--size", "4"])
+    assert out == f"5/5 pass\n0 {sorted([*_VERIFY_MODULES, *modules])} {stdlib}\n"
 
 
 def test_recursive_interlace_loads_no_sweep_module(tmp_path):
@@ -917,6 +974,76 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# Arguments that satisfy each command's required options.
+_REQUIRED_ARGS = {
+    "pivot": ["--matrix", "m", "--on", "a"],
+    "nullity": ["--matrix", "m"],
+    "pseq": ["--matrix", "m"],
+    "interlace": ["--graph", "g"],
+    "overlap": ["--dos", "1212"],
+    "walks": ["--dos", "1212", "--flip", "1"],
+    "distribution": ["--dos", "1212"],
+    "orbit": ["--graph", "g"],
+    "verify": ["--prop", "tucker"],
+}
+_ALL_COMMANDS = "{" + ",".join(_REQUIRED_ARGS) + "}"
+
+
+def _parser_cases():
+    for command, required in _REQUIRED_ARGS.items():
+        yield [command, "--help"]
+        yield [command]  # a required option is missing
+        yield [command, *required, "extra"]  # reported by the top-level parser
+    yield ["interlace", "--graph", "g", "--method", "fast"]
+    yield ["verify", "--prop", "no-such-prop"]
+    yield ["verify", "--prop", "tucker", "--field", "r"]
+    yield ["orbit", "--graph", "g", "--max-graphs", "0"]
+    yield []
+    yield ["--help"]
+    yield ["no-such-command"]
+
+
+def _exit_outcome(parse, argv, capsys) -> tuple:
+    """(exit code, stdout, stderr) of a parse that exits, as help and errors do."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+def _record_parser_builds(monkeypatch) -> list:
+    built, real = [], cli.build_parser
+
+    def recording(command=None):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    return built
+
+
+@pytest.mark.parametrize("argv", list(_parser_cases()), ids=lambda argv: " ".join(argv) or "no-args")
+def test_one_command_parser_prints_what_the_full_parser_prints(argv, monkeypatch, capsys):
+    full = _exit_outcome(cli.build_parser().parse_args, argv, capsys)
+    built = _record_parser_builds(monkeypatch)
+    assert _exit_outcome(main, argv, capsys) == full
+    # Only a command's own help is printed by its one-command parser.
+    if argv and argv[0] in _REQUIRED_ARGS:
+        assert built == [argv[0]] if argv[1:] == ["--help"] else [argv[0], None]
+    else:
+        assert built == [None]
+    if argv[-1:] in (["extra"], ["no-such-command"], []):
+        assert full[0] == 2 and _ALL_COMMANDS in full[2]
+
+
+def test_cohn_lempel_over_q_is_reported_with_the_full_usage(monkeypatch, capsys):
+    built = _record_parser_builds(monkeypatch)
+    code, out, err = _exit_outcome(main, ["verify", "--prop", "cohn-lempel", "--field", "q"], capsys)
+    assert built == ["verify", None]
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: pivotpoly [-h]") and _ALL_COMMANDS in err
+    assert err.endswith("pivotpoly: error: argument --field: cohn-lempel is a GF(2) property; use --field f2\n")
 
 
 @pytest.mark.parametrize(

@@ -625,6 +625,18 @@ def test_mat_vec_both_fields():
         mat_vec(A, [1, 2])
 
 
+def test_rational_mat_vec_matches_the_fraction_formula():
+    # Vectors mix ints and Fractions; the stress matrices include n = 0.
+    rng = random.Random(29)
+    for A in rational_stress_matrices(rng, 60, 8):
+        for _ in range(3):
+            xs = [rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-99, 99), rng.randint(1, 40))))
+                  for _ in range(A.n)]
+            got = mat_vec(A, xs)
+            assert got == oracles.mat_vec_by_fractions(A.to_entries(), xs)
+            assert all(type(v) is Fraction for v in got)
+
+
 def test_values_survive_pickle_and_copy():
     # Values are shared across processes by pickling; each of the eight
     # value types must come back equal and with the same hash.
