@@ -26,29 +26,23 @@ _EXPORTS = {
         "PivotUndefinedError",
         "principal_submatrix",
         "delete_label",
-        "transpose",
         "rank",
         "nullity",
         "determinant",
         "inverse",
-        "identity_outside",
-        "mat_mul",
         "mat_vec",
     ),
     "pivot": (
         "pivot",
-        "schur_complement",
         "verify_partial_inverse",
         "nullity_after_pivot",
         "tucker_determinant_check",
-        "pivot_composition",
     ),
     "setsystems": (
         "set_system_of",
         "partition_sequence_of",
         "twist",
         "norm",
-        "restrict",
     ),
     "graphs": (
         "graph_from_edges",
@@ -60,7 +54,6 @@ _EXPORTS = {
         "pivot_orbit",
         "PivotOrbit",
         "OrbitOverflowError",
-        "graph_from_set_system",
     ),
     "interlace": (
         "Poly",
@@ -69,7 +62,6 @@ _EXPORTS = {
         "interlace_from_nullity",
         "nullity_from_interlace",
         "interlace_recursive",
-        "verify_recursion",
     ),
     "circuits": (
         "TwoInTwoOutDigraph",

@@ -35,9 +35,7 @@ __all__ = [
     "walk_counts",
     "walk_distribution",
     "count_euler_circuits",
-    "canonical_rotation",
     "cyclic_equal",
-    "align_rotation",
 ]
 
 
@@ -265,26 +263,7 @@ def count_euler_circuits(d: TwoInTwoOutDigraph) -> int:
     return extend(start_head, L - 1)
 
 
-def canonical_rotation(seq: Sequence) -> tuple:
-    """The lexicographically smallest rotation of a cyclic sequence."""
-    t = tuple(seq)
-    if not t:
-        return t
-    return min(t[i:] + t[:i] for i in range(len(t)))
-
-
 def cyclic_equal(a: Sequence, b: Sequence) -> bool:
     """Whether two sequences are equal up to rotation (reversal is distinct)."""
-    return len(a) == len(b) and canonical_rotation(a) == canonical_rotation(b)
-
-
-def align_rotation(a: Sequence, b: Sequence) -> "int | None":
-    """An r with rotate(a, r) == b, or None; rotate moves a[r] to the front."""
-    a = tuple(a)
-    b = tuple(b)
-    if len(a) != len(b):
-        return None
-    for r in range(len(a) or 1):
-        if a[r:] + a[:r] == b:
-            return r
-    return None
+    a, b = tuple(a), tuple(b)
+    return len(a) == len(b) and any(a[r:] + a[:r] == b for r in range(len(a) or 1))

@@ -14,7 +14,6 @@ from .matrix import (
     GF2,
     Matrix,
     PivotUndefinedError,
-    SetSystem,
     SubsetMask,
     _Value,
     check_labels,
@@ -32,7 +31,6 @@ __all__ = [
     "elementary_pivots",
     "elementary_decomposition",
     "pivot_orbit",
-    "graph_from_set_system",
 ]
 
 
@@ -296,22 +294,3 @@ def _orbit_search(G: Matrix, max_graphs: int):
         ranked.append((a, b, part) if a <= b else (b, a, part))
     ranked.sort()
     return [order[idx] for idx in ranking], ranked
-
-
-def graph_from_set_system(M: SetSystem) -> Matrix:
-    """Rebuild a graph from its nonsingular-subset system.
-
-    A vertex is looped exactly when its singleton is a member, and a pair is
-    an edge exactly when its pair-membership differs from the conjunction of
-    the two singleton memberships.  Garbage in, garbage out: the input is
-    assumed to come from a graph.  The graph's domain is sorted, also when
-    the set system's is not.
-    """
-    domain, members = M.domain, M.members
-    looped = [(1 << i) in members for i in range(len(domain))]
-    edges = [(u, u) for u, loop in zip(domain, looped) if loop]
-    for i, u in enumerate(domain):
-        for j in range(i + 1, len(domain)):
-            if (((1 << i) | (1 << j)) in members) != (looped[i] and looped[j]):
-                edges.append((u, domain[j]))
-    return graph_from_edges(domain, edges)

@@ -15,8 +15,7 @@ from collections.abc import Sequence
 from operator import add
 
 from .graphs import _elementary_pivot_rows, require_graph
-from .matrix import Matrix, SubsetMask, _Value, delete_label
-from .pivot import pivot
+from .matrix import Matrix, _Value
 
 __all__ = [
     "RECURSION_MEMO_CAP",
@@ -26,7 +25,6 @@ __all__ = [
     "interlace_from_nullity",
     "nullity_from_interlace",
     "interlace_recursive",
-    "verify_recursion",
 ]
 
 # The graph deletion recursion expands each distinct subgraph it reaches
@@ -74,10 +72,6 @@ class Poly(_Value):
         if coeff == 0:
             return cls(())
         return cls((0,) * power + (coeff,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def coefficient(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
@@ -221,25 +215,3 @@ def _reach(
         old, weight = weight, old
     level[rows] = tuple(map(add, old, weight)) + old[len(weight) :]
     return 0
-
-
-def verify_recursion(A: Matrix, u: str, X: SubsetMask) -> Poly:
-    """Check the general deletion/pivot identity on one instance.
-
-    For A[X] nonsingular and u in X, the interlace polynomial of A must equal
-    that of A minus u plus that of (A pivoted on X) minus u.  Both sides are
-    evaluated by direct enumeration; a mismatch raises AssertionError.
-    Returns the (common) polynomial.
-    """
-    if u not in X:
-        raise ValueError(f"label {u!r} must belong to the pivot subset {X}")
-    B = pivot(A, X)
-    total = interlace_polynomial(delete_label(A, u)) + interlace_polynomial(
-        delete_label(B, u)
-    )
-    direct = interlace_polynomial(A)
-    if total != direct:
-        raise AssertionError(
-            f"deletion recursion violated at u={u!r}, X={X}: {total} != {direct}"
-        )
-    return total

@@ -8,7 +8,7 @@ which is imported on the first rational lookup.  Only the row format and the
 elimination kernels know the field, and each field's sit in one
 ``FieldKernels`` record of ``KERNELS``; ``Matrix`` and the operations look
 that record up and hold no field branch.  Operations that eliminate nothing
-(identity, transpose, products) work on dense entries through
+(the identity, principal submatrices) work on dense entries through
 ``Matrix.from_entries``.  Every value is immutable and every operation is
 a pure function.
 """
@@ -34,14 +34,11 @@ __all__ = [
     "mask_items",
     "principal_submatrix",
     "delete_label",
-    "transpose",
     "rank",
     "nullity",
     "nullity_by_bits",
     "determinant",
     "inverse",
-    "identity_outside",
-    "mat_mul",
     "mat_vec",
 ]
 
@@ -650,10 +647,6 @@ def delete_label(A: Matrix, label: str) -> Matrix:
     return principal_submatrix(A, keep)
 
 
-def transpose(A: Matrix) -> Matrix:
-    return Matrix.from_entries(A.field, A.domain, zip(*A.to_entries()))
-
-
 def _block_rank_det(A: Matrix, bits: int) -> tuple:
     """(rank, determinant) of the principal block of A on mask ``bits``, read in place."""
     return KERNELS[A.field].rank_det(A.rows, bits)
@@ -698,26 +691,6 @@ def inverse(A: Matrix) -> Matrix:
     if rows is None:
         raise SingularMatrixError("matrix is singular")
     return Matrix(A.field, A.domain, rows)
-
-
-def identity_outside(A: Matrix, X: SubsetMask) -> Matrix:
-    """Copy of A with every row outside X replaced by the matching identity row.
-
-    The resulting matrix has the same nullity as the principal submatrix A[X].
-    """
-    check_same_domain(A, X)
-    unit = Matrix.identity(A.field, A.domain).rows
-    rows = tuple(A.rows[i] if X.bits >> i & 1 else unit[i] for i in range(A.n))
-    return Matrix(A.field, A.domain, rows)
-
-
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    """Exact matrix product of two matrices over the same domain and field."""
-    if A.field != B.field:
-        raise ValueError(f"matrix product needs matching fields: {A.field} and {B.field}")
-    check_same_domain(A, B)
-    cols = [mat_vec(A, col) for col in zip(*B.to_entries())]
-    return Matrix.from_entries(A.field, A.domain, zip(*cols))
 
 
 def mat_vec(A: Matrix, xs: Sequence) -> list:

@@ -4,7 +4,8 @@ The pivot of A on X partially inverts A: A(x_X, x_C) = (y_X, y_C) holds
 exactly when A*X(y_X, x_C) = (x_X, y_C), where C is the complement of X.
 It is computed by solving that relation for (x_X, y_C) with one Gauss-Jordan
 elimination on the columns of X (``matrix.pivot_rows``); the inverse is the
-same elimination on the full domain.
+same elimination on the full domain.  The checks here test the partial
+inverse law, nullity invariance and Tucker's identity on one instance each.
 """
 
 from __future__ import annotations
@@ -20,16 +21,13 @@ from .matrix import (
     mat_vec,
     nullity_by_bits,
     pivot_rows,
-    principal_submatrix,
 )
 
 __all__ = [
     "pivot",
-    "schur_complement",
     "verify_partial_inverse",
     "nullity_after_pivot",
     "tucker_determinant_check",
-    "pivot_composition",
 ]
 
 
@@ -41,21 +39,14 @@ def pivot(A: Matrix, X: SubsetMask) -> Matrix:
         (P | Q ; R | S)  ->  (P^-1 | -P^-1 Q ; R P^-1 | S - R P^-1 Q)
 
     Requires A[X] nonsingular; pivot(A, empty) equals A and pivot(A, full)
-    is the inverse.
+    is the inverse.  The block outside X is the Schur complement of A[X],
+    and pivots compose: (A*X)*Y = A*(X xor Y) whenever the left side is defined.
     """
     check_same_domain(A, X)
     rows = pivot_rows(A, X.bits)
     if rows is None:
         raise PivotUndefinedError(f"pivot undefined: A[{X}] singular", X)
     return Matrix(A.field, A.domain, rows)
-
-
-def schur_complement(A: Matrix, X: SubsetMask) -> Matrix:
-    """S - R P^(-1) Q for the block split on X; needs A[X] nonsingular.
-
-    This is the block of the pivot A*X outside X.
-    """
-    return principal_submatrix(pivot(A, X), X.complement())
 
 
 def verify_partial_inverse(A: Matrix, X: SubsetMask, xs: Sequence) -> bool:
@@ -90,26 +81,3 @@ def tucker_determinant_check(A: Matrix, X: SubsetMask, Y: SubsetMask) -> bool:
     det_x = _block_rank_det(A, X.bits)[1]
     det_xy = _block_rank_det(A, X.bits ^ Y.bits)[1]
     return lhs * det_x == det_xy
-
-
-def pivot_composition(A: Matrix, X: SubsetMask, Y: SubsetMask) -> Matrix:
-    """Compute (A*X)*Y and confirm it equals A*(X xor Y).
-
-    Raises PivotUndefinedError naming the failing stage when either pivot is
-    undefined, and AssertionError if the composition law is violated (which
-    would indicate a pivot bug).
-    """
-    try:
-        first = pivot(A, X)
-    except PivotUndefinedError as e:
-        raise PivotUndefinedError(f"composition stage A*X: {e}", X) from None
-    try:
-        second = pivot(first, Y)
-    except PivotUndefinedError as e:
-        raise PivotUndefinedError(f"composition stage (A*X)*Y: {e}", Y) from None
-    combined = pivot(A, X ^ Y)
-    if second != combined:
-        raise AssertionError(
-            f"pivot composition mismatch: (A*{X})*{Y} != A*{X ^ Y}"
-        )
-    return second

@@ -30,7 +30,6 @@ __all__ = [
     "partition_sequence_of",
     "twist",
     "norm",
-    "restrict",
 ]
 
 # Subsets are swept as bitmasks over the sorted domain.  For listings, set
@@ -110,18 +109,3 @@ def twist(obj, X: SubsetMask):
 def norm(P: PartitionSequence) -> tuple[int, ...]:
     """The vector of class sizes (|P_0|, ..., |P_n|)."""
     return _class_sizes(P.nullities, len(P.domain))
-
-
-def restrict(P: PartitionSequence, X: SubsetMask) -> PartitionSequence:
-    """Keep only members inside X and shrink the domain to X's labels.
-
-    For the partition sequence of a matrix A this equals the partition
-    sequence of the principal submatrix A[X].
-    """
-    check_same_domain(P, X)
-    # The submasks of X in increasing order are the compact masks 0..2^k-1.
-    outside = ~X.bits
-    kept = [k for m, k in enumerate(P.nullities) if m & outside == 0]
-    if max(kept) > len(X):
-        raise ValueError("restriction does not form a partition sequence")
-    return PartitionSequence(X.labels(), tuple(kept))

@@ -173,6 +173,24 @@ def dense_product(a, b, mod2=False):
     return out
 
 
+def identity_outside(entries, bits):
+    """An n x n list of lists with each row i outside mask ``bits`` replaced
+    by row i of the identity."""
+    n = len(entries)
+    return [list(row) if bits >> i & 1 else [int(i == j) for j in range(n)]
+            for i, row in enumerate(entries)]
+
+
+def graph_from_set_system(n, members):
+    """The 0/1 adjacency of the graph on n vertices whose nonsingular subsets,
+    as masks, are ``members``.  Vertex i is looped when {i} is a member; over
+    GF(2), det [[a, e], [e, b]] = ab + e, so i ~ j when the membership of
+    {i, j} differs from i and j both being looped."""
+    loop = [1 << i in members for i in range(n)]
+    return [[int(loop[i] if i == j else (1 << i | 1 << j in members) != (loop[i] and loop[j]))
+             for j in range(n)] for i in range(n)]
+
+
 def mat_vec_by_fractions(entries, xs) -> list:
     """A x over Q as n Fraction products and sums an entry."""
     vec = [Fraction(x) for x in xs]

@@ -13,8 +13,8 @@ from pivotpoly import (
     RATIONAL,
     Matrix,
     Poly,
-    PivotUndefinedError,
     SubsetMask,
+    delete_label,
     edges_of,
     graph_from_edges,
     interlace_from_nullity,
@@ -27,7 +27,6 @@ from pivotpoly import (
     pivot,
     principal_submatrix,
     set_system_of,
-    verify_recursion,
 )
 from pivotpoly.randgen import random_graph, random_matrix, random_valid_pivot_subset
 
@@ -416,14 +415,20 @@ def test_enumeration_cap_applies_even_to_shortcut_inputs():
 
 # --- the general deletion/pivot identity ------------------------------------------------
 
+def _deletion_sum(A, u, X):
+    """q(A - u) + q(A*X - u), both by enumeration: q(A) when u is in X and A[X] is nonsingular."""
+    q = interlace_polynomial
+    return q(delete_label(A, u)) + q(delete_label(pivot(A, X), u))
+
+
 def test_verify_recursion_worked_rational():
     A = sample_rational_matrix()
-    assert verify_recursion(A, "a", A.subset("a", "b")) == Poly.of([6, 1])
+    assert _deletion_sum(A, "a", A.subset("a", "b")) == interlace_polynomial(A) == Poly.of([6, 1])
 
 
 def test_verify_recursion_on_graph_pair():
     G = pivot_pair_left()
-    assert verify_recursion(G, "2", G.subset("1", "2", "3")) == interlace_polynomial(G)
+    assert _deletion_sum(G, "2", G.subset("1", "2", "3")) == interlace_polynomial(G)
 
 
 def test_verify_recursion_random_both_fields():
@@ -439,16 +444,8 @@ def test_verify_recursion_random_both_fields():
         bits = rng.choice(members)
         X = SubsetMask(A.domain, bits)
         u = rng.choice(X.labels())
-        verify_recursion(A, u, X)
+        assert _deletion_sum(A, u, X) == interlace_polynomial(A)
         checked += 1
-
-
-def test_verify_recursion_preconditions():
-    A = sample_rational_matrix()
-    with pytest.raises(ValueError):
-        verify_recursion(A, "c", A.subset("a", "b"))
-    with pytest.raises(PivotUndefinedError):
-        verify_recursion(A, "b", A.subset("b", "c"))
 
 
 # --- pivot invariance ---------------------------------------------------------------------

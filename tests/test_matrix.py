@@ -24,16 +24,13 @@ from pivotpoly import (
     delete_label,
     determinant,
     graph_from_edges,
-    identity_outside,
     inverse,
-    mat_mul,
     mat_vec,
     nullity,
+    pivot,
     pivot_orbit,
     principal_submatrix,
     rank,
-    schur_complement,
-    transpose,
 )
 from pivotpoly.matrix import KERNELS, check_labels, nullity_by_bits
 from pivotpoly.rational import q_pivot_rows, q_rank_det, q_subset_nullities
@@ -282,7 +279,7 @@ def test_rank_nullity_and_transpose_agree():
         field = rng.choice([GF2, RATIONAL])
         A = random_matrix(rng, field, n)
         assert rank(A) + nullity(A) == n
-        assert rank(A) == rank(transpose(A))
+        assert rank(A) == rank(Matrix.from_entries(field, A.domain, zip(*A.to_entries())))
 
 
 def test_det_nonzero_iff_nullity_zero():
@@ -396,7 +393,8 @@ def test_inverse_matches_gauss_jordan_oracle():
     inv = inverse(A)
     oracle = oracles.gauss_jordan_inverse(A.to_entries())
     assert inv.to_entries() == oracle
-    assert mat_mul(A, inv) == Matrix.identity(RATIONAL, A.domain)
+    unit = Matrix.identity(RATIONAL, A.domain).to_entries()
+    assert oracles.dense_product(A.to_entries(), oracle) == unit
 
 
 def test_inverse_random_round_trip():
@@ -408,7 +406,8 @@ def test_inverse_random_round_trip():
         A = random_matrix(rng, field, n)
         if nullity(A) != 0:
             continue
-        assert mat_mul(A, inverse(A)) == Matrix.identity(field, A.domain)
+        product = oracles.dense_product(A.to_entries(), inverse(A).to_entries(), field == GF2)
+        assert product == Matrix.identity(field, A.domain).to_entries()
         done += 1
 
 
@@ -419,20 +418,21 @@ def test_inverse_singular_raises():
         inverse(Matrix.zeros(GF2, ["a"]))
 
 
-# --- identity_outside (row replacement) --------------------------------------
+# --- identity-row padding (rows outside X replaced by identity rows) -----------
 
 def test_identity_outside_trivial_cases():
     A = sample_rational_matrix()
-    assert identity_outside(A, A.full_subset()) == A
-    assert identity_outside(A, A.subset()) == Matrix.identity(RATIONAL, A.domain)
+    a = A.to_entries()
+    assert oracles.identity_outside(a, A.full_subset().bits) == a
+    assert oracles.identity_outside(a, 0) == Matrix.identity(RATIONAL, A.domain).to_entries()
 
 
 def test_identity_outside_worked_nullity():
     A = sample_rational_matrix()
-    M = identity_outside(A, A.subset("b", "c"))
-    assert M.to_entries()[0] == [1, 0, 0]
-    assert nullity(M) == 1
-    assert oracles.rank_by_minors(M.to_entries()) == 2
+    padded = oracles.identity_outside(A.to_entries(), A.subset("b", "c").bits)
+    assert padded[0] == [1, 0, 0]
+    assert nullity(Matrix.from_entries(RATIONAL, A.domain, padded)) == 1
+    assert oracles.rank_by_minors(padded) == 2
 
 
 def test_identity_outside_nullity_matches_submatrix():
@@ -442,19 +442,21 @@ def test_identity_outside_nullity_matches_submatrix():
         field = rng.choice([GF2, RATIONAL])
         A = random_matrix(rng, field, n)
         X = SubsetMask(A.domain, rng.randrange(1 << n))
-        assert nullity(identity_outside(A, X)) == nullity(principal_submatrix(A, X))
+        padded = oracles.identity_outside(A.to_entries(), X.bits)
+        assert nullity(Matrix.from_entries(field, A.domain, padded)) == nullity(principal_submatrix(A, X))
 
 
-# --- Schur complement ---------------------------------------------------------
+# --- Schur complement: the block of A*X outside X -----------------------------
 
 def test_schur_empty_block_is_identity_on_A():
     A = sample_rational_matrix()
-    assert schur_complement(A, A.subset()) == A
+    assert principal_submatrix(pivot(A, A.subset()), A.full_subset()) == A
 
 
 def test_schur_worked_value():
     A = sample_rational_matrix()
-    S = schur_complement(A, A.subset("a", "b"))
+    X = A.subset("a", "b")
+    S = principal_submatrix(pivot(A, X), X.complement())
     assert S.domain == ("c",)
     assert S.to_entries() == [[-20]]
 
@@ -462,7 +464,7 @@ def test_schur_worked_value():
 def test_schur_singular_block_raises():
     A = sample_rational_matrix()
     with pytest.raises(SingularMatrixError):
-        schur_complement(A, A.subset("b", "c"))
+        pivot(A, A.subset("b", "c"))
 
 
 def test_schur_preserves_nullity():
@@ -475,21 +477,8 @@ def test_schur_preserves_nullity():
         X = SubsetMask(A.domain, rng.randrange(1 << n))
         if nullity(principal_submatrix(A, X)) != 0:
             continue
-        assert nullity(schur_complement(A, X)) == nullity(A)
+        assert nullity(principal_submatrix(pivot(A, X), X.complement())) == nullity(A)
         done += 1
-
-
-# --- products -----------------------------------------------------------------
-
-def test_mat_mul_identity_and_mismatch():
-    A = sample_rational_matrix()
-    assert mat_mul(A, Matrix.identity(RATIONAL, A.domain)) == A
-    G = random_graph(random.Random(1), 3)
-    with pytest.raises(ValueError, match="matching fields"):
-        mat_mul(A, G)
-    with pytest.raises(ValueError) as exc:
-        mat_mul(Matrix.zeros(RATIONAL, ("a", "b")), Matrix.zeros(RATIONAL, ("a", "c")))
-    assert str(exc.value) == "domains differ: ('a', 'b') and ('a', 'c')"
 
 
 # --- domain checks --------------------------------------------------------------
@@ -502,14 +491,12 @@ _DOMAIN_MISMATCH = "domains differ: ('a', 'b') and ('a', 'c')"
 
 _COMBINE_ACROSS_DOMAINS = {
     "principal_submatrix": lambda X: principal_submatrix(Matrix.zeros(GF2, _AB), X),
-    "identity_outside": lambda X: identity_outside(Matrix.zeros(RATIONAL, _AB), X),
     "mask_xor": lambda X: SubsetMask.full(_AB) ^ X,
     "pivot": lambda X: pivotpoly.pivot(Matrix.identity(RATIONAL, _AB), X),
     "elementary_decomposition": lambda X: pivotpoly.elementary_decomposition(Matrix.zeros(GF2, _AB), X),
     "set_system_contains": lambda X: X in SetSystem(_AB, frozenset({0})),
     "twist_set_system": lambda X: pivotpoly.twist(SetSystem(_AB, frozenset({0})), X),
     "twist_partition_sequence": lambda X: pivotpoly.twist(PartitionSequence(_AB, (0, 0, 0, 0)), X),
-    "restrict": lambda X: pivotpoly.restrict(PartitionSequence(_AB, (0, 0, 0, 0)), X),
     "nullity_after_pivot": lambda Y: pivotpoly.nullity_after_pivot(
         Matrix.identity(RATIONAL, _AB), SubsetMask.full(_AB), Y
     ),
@@ -557,10 +544,9 @@ def test_products_against_dense_oracle():
         I = Matrix.identity(A.field, A.domain)
         assert I.to_entries() == unit
         ab = oracles.dense_product(a, b, mod2)
-        assert mat_mul(A, B).to_entries() == ab
         assert oracles.dense_product(I.to_entries(), a, mod2) == a
         assert oracles.dense_product(a, I.to_entries(), mod2) == a
-        At, Bt = transpose(A), transpose(B)
+        At, Bt = (Matrix.from_entries(M.field, M.domain, zip(*M.to_entries())) for M in (A, B))
         assert At.to_entries() == [[a[j][i] for j in range(n)] for i in range(n)]
         # (AB)^T = B^T A^T
         assert oracles.dense_product(Bt.to_entries(), At.to_entries(), mod2) == [
@@ -572,7 +558,7 @@ def test_products_against_dense_oracle():
         d = [[int(i == j and X.bits >> i & 1) for j in range(n)] for i in range(n)]
         da = oracles.dense_product(d, a, mod2)
         expected = [[da[i][j] + unit[i][j] - d[i][j] for j in range(n)] for i in range(n)]
-        assert identity_outside(A, X).to_entries() == expected
+        assert oracles.identity_outside(a, X.bits) == expected
 
 
 def test_constructors_reject_unknown_fields():

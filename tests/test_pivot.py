@@ -11,16 +11,12 @@ from pivotpoly import (
     SingularMatrixError,
     SubsetMask,
     determinant,
-    identity_outside,
     inverse,
-    mat_mul,
     mat_vec,
     nullity,
     nullity_after_pivot,
     pivot,
-    pivot_composition,
     principal_submatrix,
-    schur_complement,
     tucker_determinant_check,
     verify_partial_inverse,
 )
@@ -35,7 +31,13 @@ from pivotpoly.randgen import (
     random_vector,
 )
 
-from oracles import block_formula_pivot, gauss_jordan_inverse, gf2_gauss_jordan_inverse
+from oracles import (
+    block_formula_pivot,
+    dense_product,
+    gauss_jordan_inverse,
+    gf2_gauss_jordan_inverse,
+    identity_outside,
+)
 from samples import (
     SAMPLE_PIVOT_AB,
     pivot_pair_left,
@@ -149,11 +151,14 @@ def test_pivot_preserves_graph_symmetry():
 
 
 def test_schur_complement_is_pivot_corner():
+    # The block of A*X outside X is S - R P^-1 Q, computed entry by entry.
     rng = random.Random(43)
     for _ in range(40):
         A, X = _random_case(rng, max_n=6)
         comp = X.complement()
-        assert schur_complement(A, X) == principal_submatrix(pivot(A, X), comp)
+        schur = block_formula_pivot(A.to_entries(), X.indices(), mod2=A.field == GF2)
+        corner = [[schur[i][j] for j in comp.indices()] for i in comp.indices()]
+        assert principal_submatrix(pivot(A, X), comp).to_entries() == corner
 
 
 # --- partial inverse law ------------------------------------------------------
@@ -264,8 +269,13 @@ def test_row_replacement_composition_identity():
     for _ in range(60):
         A, X = _random_case(rng, max_n=6)
         Y = SubsetMask(A.domain, rng.randrange(1 << A.n))
-        lhs = mat_mul(identity_outside(pivot(A, X), Y), identity_outside(A, X))
-        assert lhs == identity_outside(A, X ^ Y)
+        a = A.to_entries()
+        lhs = dense_product(
+            identity_outside(pivot(A, X).to_entries(), Y.bits),
+            identity_outside(a, X.bits),
+            mod2=A.field == GF2,
+        )
+        assert lhs == identity_outside(a, (X ^ Y).bits)
 
 
 def test_inverse_restriction_nullity():
@@ -360,7 +370,7 @@ def test_checks_and_nullity_command_read_blocks_in_place(tmp_path, monkeypatch, 
 def test_composition_with_itself_restores_matrix():
     A = sample_rational_matrix()
     X = A.subset("a", "b")
-    assert pivot_composition(A, X, X) == A
+    assert pivot(pivot(A, X), X) == pivot(A, X ^ X) == A
 
 
 def test_composition_small_orbit_edge():
@@ -376,22 +386,4 @@ def test_composition_random():
         A, X = _random_case(rng, max_n=6)
         B = pivot(A, X)
         Y = random_valid_pivot_subset(rng, B)
-        assert pivot_composition(A, X, Y) == pivot(A, X ^ Y)
-
-
-def test_composition_error_names_stage():
-    A = sample_rational_matrix()
-    bad = A.subset("b", "c")
-    with pytest.raises(PivotUndefinedError, match="stage A\\*X"):
-        pivot_composition(A, bad, A.subset())
-    B = pivot(A, A.subset("a", "b"))
-    # find a Y singular in B
-    singular_y = None
-    for bits in range(1 << 3):
-        Y = SubsetMask(A.domain, bits)
-        if determinant(principal_submatrix(B, Y)) == 0:
-            singular_y = Y
-            break
-    assert singular_y is not None
-    with pytest.raises(PivotUndefinedError, match="stage \\(A\\*X\\)\\*Y"):
-        pivot_composition(A, A.subset("a", "b"), singular_y)
+        assert pivot(B, Y) == pivot(A, X ^ Y)

@@ -18,7 +18,6 @@ from pivotpoly import (
     pivot,
     principal_submatrix,
     rank,
-    restrict,
     set_system_of,
     twist,
 )
@@ -167,39 +166,37 @@ def test_norm_of_discrete_graph_is_binomial():
         )
 
 
-# --- restrict ---------------------------------------------------------------------
+# --- restriction ------------------------------------------------------------------
+
+def _on_submasks(nullities, X):
+    """The entries of a subset sweep at the submasks of X, in increasing order."""
+    return [k for m, k in enumerate(nullities) if m & ~X.bits == 0]
+
 
 def test_restrict_full_and_empty():
     G = pivot_pair_left()
-    P = partition_sequence_of(G)
-    assert restrict(P, G.full_subset()) == P
-    empty = restrict(P, G.subset())
-    assert empty.domain == ()
-    assert empty.classes == (frozenset({0}),)
+    nullities = subset_nullities(G)
+    assert _on_submasks(nullities, G.full_subset()) == list(nullities)
+    empty = G.subset()
+    on_empty = list(subset_nullities(principal_submatrix(G, empty)))
+    assert _on_submasks(nullities, empty) == on_empty == [0]
 
 
 def test_restrict_equals_submatrix_sequence():
+    # The submasks of X in increasing order are the masks of A[X]'s sweep.
     G = pivot_pair_left()
     X = G.subset("1", "2", "3")
-    assert restrict(partition_sequence_of(G), X) == partition_sequence_of(
-        principal_submatrix(G, X)
+    assert _on_submasks(subset_nullities(G), X) == list(
+        subset_nullities(principal_submatrix(G, X))
     )
     rng = random.Random(13)
     for _ in range(40):
         field = rng.choice([GF2, RATIONAL])
         A = random_matrix(rng, field, rng.randint(1, 6))
         X = SubsetMask(A.domain, rng.randrange(1 << A.n))
-        assert restrict(partition_sequence_of(A), X) == partition_sequence_of(
-            principal_submatrix(A, X)
+        assert _on_submasks(subset_nullities(A), X) == list(
+            subset_nullities(principal_submatrix(A, X))
         )
-
-
-def test_restrict_rejects_entry_above_subset_size():
-    # Mask 1 = {a} sits in class 2, which a one-label subset cannot reach.
-    P = PartitionSequence(("a", "b"), (0, 2, 0, 1))
-    with pytest.raises(ValueError, match="restriction does not form a partition sequence"):
-        restrict(P, SubsetMask.of(P.domain, ["a"]))
-    assert restrict(P, SubsetMask.of(P.domain, ["b"])).nullities == (0, 0)
 
 
 # --- sweeps -------------------------------------------------------------------------
