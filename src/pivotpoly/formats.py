@@ -154,11 +154,12 @@ def _graph_blocks(domain, graphs):
 def format_orbit_blocks(domain, graphs, moves):
     """Yield the text of a pivot orbit one graph block at a time.
 
-    ``graphs`` are packed row tuples in orbit order and ``moves`` sorted
-    ``(a, b, part)`` triples with ``part`` a bitmask, as the orbit search
-    returns them.  The text is ``orbit size N``, then ``graph i`` and the
-    graph file of each graph, then ``moves`` and one ``a {X} b`` line per
-    move; the move lines come in one block per first graph ``a``.
+    ``graphs`` are packed row tuples in orbit order and ``moves`` an
+    iterable of sorted ``(a, b, part)`` triples with ``part`` a bitmask, as
+    the orbit search returns them; it is read once, after the graphs.  The
+    text is ``orbit size N``, then ``graph i`` and the graph file of each
+    graph, then ``moves`` and one ``a {X} b`` line per move; the move lines
+    come in one block per first graph ``a``.
     """
     yield f"orbit size {len(graphs)}\n"
     for idx, block in enumerate(_graph_blocks(domain, graphs)):

@@ -8,8 +8,6 @@ entrywise with the matrix pivot on the same subset.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .matrix import (
     GF2,
     Matrix,
@@ -235,7 +233,9 @@ def pivot_orbit(G: Matrix, max_graphs: int = 10**6) -> PivotOrbit:
     graph is already known (G*Y = G*X' with Y != X', as an isolated looped
     vertex gives) is an alias and is not expanded: its moves and targets
     are those of the graph it equals.  The orbit always contains G, so
-    ``max_graphs`` must be at least 1; it counts distinct graphs.
+    ``max_graphs`` must be at least 1; it counts distinct graphs.  The
+    moves are read off the search's map from subsets to graphs once the
+    orbit is complete, as :func:`_orbit_search` describes.
     """
     graphs, moves = _orbit_search(G, max_graphs)
     domain = G.domain
@@ -248,11 +248,15 @@ def pivot_orbit(G: Matrix, max_graphs: int = 10**6) -> PivotOrbit:
 def _orbit_search(G: Matrix, max_graphs: int):
     """The search behind :func:`pivot_orbit`, on packed rows.
 
-    Returns the orbit's row tuples in canonical order and its moves as
-    sorted ``(a, b, part)`` triples with ``a <= b`` and ``part`` a bitmask.
-    An elementary pivot is its own inverse and applies at both ends of its
-    move, so a move between two distinct graphs is met once from each end;
-    it is recorded only from the end found first.
+    Returns the orbit's row tuples in canonical order and an iterator over
+    its moves as ``(a, b, part)`` triples with ``a <= b`` and ``part`` a
+    bitmask, sorted.  The search stores no move: for each graph it keeps
+    only the subset that first reached it, and the move P from graph a
+    leads to the graph of that subset ^ P, which the search has reached
+    since it expanded a from there.  An elementary pivot is its own
+    inverse and applies at both ends of its move, so listing from each
+    graph a only the moves with a <= b lists each move once.  The search
+    runs, and raises :class:`OrbitOverflowError`, before this returns.
     """
     require_graph(G)
     if max_graphs < 1:
@@ -261,15 +265,12 @@ def _orbit_search(G: Matrix, max_graphs: int):
     seen = {G.rows: 0}
     reached = {0: 0}
     order = [G.rows]
-    moves = []
-    queue = deque([(0, G.rows)])
-    while queue:
-        X, rows = queue.popleft()
-        hi = reached[X]
+    firsts = [0]
+    # Breadth first: both lists grow as the loop runs, one entry per new graph.
+    for X, rows in zip(firsts, order):
         for part in _elementary_parts(rows, full):
             Y = X ^ part
-            ki = reached.get(Y)
-            if ki is None:
+            if Y not in reached:
                 K = _elementary_pivot_rows(rows, part)
                 ki = seen.get(K)
                 if ki is None:
@@ -280,17 +281,31 @@ def _orbit_search(G: Matrix, max_graphs: int):
                     ki = len(order)
                     seen[K] = ki
                     order.append(K)
-                    queue.append((Y, K))
+                    firsts.append(Y)
                 reached[Y] = ki
-            if hi <= ki:
-                moves.append((hi, part, ki))
+    del seen  # frees the rows-to-graph map before the ranking copies the orbit
     ranking = sorted(range(len(order)), key=order.__getitem__)
     relabel = [0] * len(order)
     for new, old in enumerate(ranking):
         relabel[old] = new
-    ranked = []
-    for i, part, j in moves:
-        a, b = relabel[i], relabel[j]
-        ranked.append((a, b, part) if a <= b else (b, a, part))
-    ranked.sort()
-    return [order[idx] for idx in ranking], ranked
+    for Y, old in reached.items():
+        reached[Y] = relabel[old]
+    graphs = [order[old] for old in ranking]
+    firsts = [firsts[old] for old in ranking]
+    return graphs, _orbit_moves(graphs, firsts, reached, full)
+
+
+def _orbit_moves(graphs, firsts, index, full):
+    """Yield the moves of an orbit from :func:`_orbit_search`'s maps: graph
+    a is reached by subset ``firsts[a]``, and ``index`` maps each reached
+    subset to its graph."""
+    for a, rows in enumerate(graphs):
+        X = firsts[a]
+        ends = []
+        for part in _elementary_parts(rows, full):
+            b = index[X ^ part]
+            if a <= b:
+                ends.append((b, part))
+        ends.sort()
+        for b, part in ends:
+            yield a, b, part

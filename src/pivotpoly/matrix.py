@@ -175,10 +175,6 @@ class SubsetMask(_Value):
             raise ValueError("mask bits do not fit the domain")
 
     @classmethod
-    def empty(cls, domain: Iterable[str]) -> "SubsetMask":
-        return cls(tuple(domain), 0)
-
-    @classmethod
     def full(cls, domain: Iterable[str]) -> "SubsetMask":
         domain = tuple(domain)
         return cls(domain, (1 << len(domain)) - 1)
@@ -201,9 +197,6 @@ class SubsetMask(_Value):
 
     def indices(self) -> tuple[int, ...]:
         return tuple(mask_items(range(len(self.domain)), self.bits))
-
-    def complement(self) -> "SubsetMask":
-        return SubsetMask(self.domain, self.bits ^ ((1 << len(self.domain)) - 1))
 
     def __xor__(self, other: "SubsetMask") -> "SubsetMask":
         check_same_domain(self, other)

@@ -11,7 +11,6 @@ order; strings use letters a, b, c, ...
 from __future__ import annotations
 
 import random
-import string
 
 from .matrix import GF2, RATIONAL, Matrix, SubsetMask
 from .setsystems import subset_nullities
@@ -90,6 +89,6 @@ def valid_pivot_subset_from(rng: random.Random, domain: tuple[str, ...], nulliti
 
 def random_dos(rng: random.Random, n: int) -> tuple[str, ...]:
     """A random double occurrence string over the first n letters."""
-    letters = list(string.ascii_lowercase[:n]) * 2
+    letters = [chr(97 + i) for i in range(n)] * 2
     rng.shuffle(letters)
     return tuple(letters)

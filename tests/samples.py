@@ -1,9 +1,10 @@
 """Fixed inputs, and one kernel-patching helper, shared across the test modules."""
 
+import random
 from fractions import Fraction
 
 from pivotpoly import GF2, Matrix, RATIONAL, SubsetMask, graph_from_edges, matrix
-from pivotpoly.randgen import labels_for
+from pivotpoly.randgen import labels_for, random_graph
 
 # 3x3 rational matrix with a singular {b,c} block and nonsingular {a,b} block.
 def sample_rational_matrix() -> Matrix:
@@ -146,6 +147,28 @@ SMALL_ORBIT_MOVES = [
     (3, ("q",), 4),
     (4, ("p", "r"), 0),
 ]
+
+
+def orbit_writer_cases():
+    """Graphs whose orbits cover what the orbit search and its printer meet:
+    no move, self-moves, aliased subsets, and labels whose text order is
+    not their numeric order."""
+    yield small_orbit_graphs()[0]
+    yield graph_from_edges(["u"], [])
+    yield graph_from_edges(["u"], [("u", "u")])
+    # Isolated looped vertices: G*{z} = G, so the orbit has aliased subsets.
+    yield graph_from_edges(["p", "q", "r", "z"], [("p", "q"), ("p", "r"), ("q", "q"), ("z", "z")])
+    yield graph_from_edges(["p", "q", "y", "z"], [("p", "q"), ("y", "y"), ("z", "z")])
+    rng = random.Random(53)
+    mixed = ["a", "b10", "b9", "c", "c100", "c11"]
+    for _ in range(10):
+        edges = [
+            (u, v) for i, u in enumerate(mixed) for v in mixed[i:] if rng.random() < 0.4
+        ]
+        yield graph_from_edges(mixed, edges)
+    for k in range(120):
+        G = random_graph(rng, rng.randint(1, 10))
+        yield loopless(G) if k % 2 else G
 
 
 SAMPLE_STRING = tuple("146543625123")

@@ -139,7 +139,7 @@ def test_trace_covers_every_arc_once():
 
 def test_trace_rejects_foreign_domain():
     with pytest.raises(ValueError):
-        trace_partition(SAMPLE_STRING, SubsetMask.empty(("a", "b")))
+        trace_partition(SAMPLE_STRING, SubsetMask(("a", "b"), 0))
 
 
 # --- the walk-count law -----------------------------------------------------------------

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 import typing
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +39,7 @@ from pivotpoly.setsystems import norm, partition_sequence_of, set_system_of, sub
 from pivotpoly import GF2, RATIONAL, Matrix, PartitionSequence, SubsetMask, graph_from_edges
 
 from oracles import graph_text_entrywise, orbit_text_by_objects, partition_listing_by_mask
-from samples import loopless, path_graph, patch_kernels, pivot_pair_left
+from samples import orbit_writer_cases, path_graph, patch_kernels, pivot_pair_left
 
 MATRIX_Q = """\
 field q
@@ -495,25 +496,6 @@ def test_orbit_command_overflow(tmp_path, capsys):
     assert captured.err == "error: pivot orbit exceeds 2 graphs\n"
 
 
-def orbit_writer_cases():
-    yield parse_graph(ORBIT_SEED)
-    yield graph_from_edges(["u"], [])
-    yield graph_from_edges(["u"], [("u", "u")])
-    # Isolated looped vertices: G*{z} = G, so the orbit has aliased subsets.
-    yield graph_from_edges(["p", "q", "r", "z"], [("p", "q"), ("p", "r"), ("q", "q"), ("z", "z")])
-    yield graph_from_edges(["p", "q", "y", "z"], [("p", "q"), ("y", "y"), ("z", "z")])
-    rng = random.Random(53)
-    mixed = ["a", "b10", "b9", "c", "c100", "c11"]
-    for _ in range(10):
-        edges = [
-            (u, v) for i, u in enumerate(mixed) for v in mixed[i:] if rng.random() < 0.4
-        ]
-        yield graph_from_edges(mixed, edges)
-    for k in range(120):
-        G = random_graph(rng, rng.randint(1, 10))
-        yield loopless(G) if k % 2 else G
-
-
 def test_orbit_writer_matches_the_object_printer():
     for G in orbit_writer_cases():
         expected = orbit_text_by_objects(graphs_module.pivot_orbit(G))
@@ -866,13 +848,13 @@ def test_lazy_package_binds_the_same_names_as_an_eager_one():
 def _modules_loaded_by(argv: list[str]) -> str:
     """Stdout of ``cli.main(argv)`` in a fresh interpreter, followed by its
     exit code, the pivotpoly modules it loaded and which of dataclasses,
-    fractions, decimal and numbers it loaded."""
+    fractions, decimal, numbers and string it loaded."""
     return _fresh_interpreter(
         "import sys\n"
         "from pivotpoly import cli\n"
         f"code = cli.main({argv!r})\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'pivotpoly'),"
-        " [m for m in ('dataclasses', 'fractions', 'decimal', 'numbers') if m in sys.modules])\n"
+        " [m for m in ('dataclasses', 'fractions', 'decimal', 'numbers', 'string') if m in sys.modules])\n"
     )
 
 
@@ -943,6 +925,8 @@ _RATIONAL_MODULES = (["pivotpoly.rational"], ["fractions", "decimal", "numbers"]
     ],
 )
 def test_verify_loads_only_what_its_property_runs(prop, field, extra):
+    # The stdlib list is compared whole, so no op loads `string` either:
+    # every op draws with `randgen`, which builds its letters itself.
     modules, stdlib = extra
     out = _modules_loaded_by(["verify", "--prop", prop, "--field", field, "--trials", "5", "--size", "4"])
     assert out == f"5/5 pass\n0 {sorted([*_VERIFY_MODULES, *modules])} {stdlib}\n"
@@ -983,7 +967,27 @@ def test_every_public_callable_has_resolvable_type_hints():
 _PUBLIC_WITHOUT_CALLER = {
     "pivot.nullity_after_pivot": "the paper's nullity invariance on one instance, named in README",
     "matrix.inverse": "the pivot on the full domain, named in README",
+    "matrix.Matrix.identity": "the identity matrix of either field, named in README",
 }
+
+
+def _public_names():
+    """Each module's exported names, and the public methods (functions,
+    class and static methods, properties) of the classes it defines and
+    exports, as (qualified name, name that a caller reads)."""
+    for info in pkgutil.iter_modules(pivotpoly.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"pivotpoly.{info.name}")
+        for name in module.__all__:
+            yield f"{info.name}.{name}", name
+            value = getattr(module, name)
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                for attr, member in vars(value).items():
+                    if not attr.startswith("_") and isinstance(
+                        member, (types.FunctionType, classmethod, staticmethod, property)
+                    ):
+                        yield f"{info.name}.{name}.{attr}", attr
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
@@ -999,13 +1003,7 @@ def test_every_public_name_has_a_caller_or_a_reason():
                     read.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
-    uncalled = sorted(
-        f"{info.name}.{name}"
-        for info in pkgutil.iter_modules(pivotpoly.__path__)
-        if info.name != "__main__"
-        for name in importlib.import_module(f"pivotpoly.{info.name}").__all__
-        if name not in read
-    )
+    uncalled = sorted(qualified for qualified, name in _public_names() if name not in read)
     assert uncalled == sorted(_PUBLIC_WITHOUT_CALLER)
 
 

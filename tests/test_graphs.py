@@ -1,4 +1,7 @@
 import random
+import tracemalloc
+from collections import Counter, deque
+from itertools import chain
 
 import pytest
 
@@ -24,7 +27,7 @@ from pivotpoly import (
 import pivotpoly.graphs as graphs_module
 import pivotpoly.interlace as interlace_module
 from pivotpoly.cli import main
-from pivotpoly.formats import format_graph
+from pivotpoly.formats import format_graph, format_orbit_blocks
 from pivotpoly.graphs import require_graph
 from pivotpoly.interlace import interlace_recursive
 from pivotpoly.matrix import f2_pivot_rows
@@ -35,6 +38,7 @@ from samples import (
     SMALL_ORBIT_MOVES,
     all_graphs,
     loopless,
+    orbit_writer_cases,
     path_graph,
     pivot_pair_left,
     pivot_pair_right,
@@ -364,7 +368,7 @@ def orbit_test_graphs():
 
 
 def test_orbit_equals_pivots_on_the_set_system():
-    for G in orbit_test_graphs():
+    for G in chain(orbit_test_graphs(), orbit_writer_cases()):
         orbit = pivot_orbit(G)
         expected = {
             pivot(G, SubsetMask(G.domain, bits)) for bits in set_system_of(G).members
@@ -372,20 +376,35 @@ def test_orbit_equals_pivots_on_the_set_system():
         assert set(orbit.graphs) == expected
         assert len(orbit.graphs) == len(expected)
         assert list(orbit.graphs) == sorted(orbit.graphs, key=lambda H: H.rows)
-        for a, X, b in orbit.moves:
-            assert a <= b
-            assert pivot(orbit.graphs[a], X) == orbit.graphs[b]
-        # The listing is complete: every elementary pivot of every orbit
-        # graph appears once, stored under its unordered pair.
+        # The listing is complete: every elementary pivot P of every orbit
+        # graph a, leading to graph b, appears exactly once, as
+        # (min(a, b), P, max(a, b)), and the moves come sorted by
+        # (a, b, P) with P read as its bitmask.
         position = {H: i for i, H in enumerate(orbit.graphs)}
         brute = set()
         for a, H in enumerate(orbit.graphs):
             for P in elementary_pivots(H):
                 b = position[pivot(H, P)]
                 brute.add((min(a, b), P, max(a, b)))
-        assert set(orbit.moves) == brute
-        assert len(orbit.moves) == len(brute)
-        assert len(set(orbit.moves)) == len(orbit.moves)
+        assert Counter(orbit.moves) == dict.fromkeys(brute, 1)
+        keys = [(a, b, X.bits) for a, X, b in orbit.moves]
+        assert keys == sorted(keys)
+
+
+def test_orbit_holds_no_move_list():
+    # The search keeps one subset per graph and reads each move off its
+    # subset map while printing, so the 16 104 moves of a 16-vertex path's
+    # orbit (1 597 graphs) are never held at once.
+    G = path_graph(16)
+    tracemalloc.start()
+    try:
+        rows, moves = graphs_module._orbit_search(G, 10**6)
+        deque(format_orbit_blocks(G.domain, rows, moves), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 1597
+    assert peak < 1.5 * (1 << 20)
 
 
 def test_orbit_pivots_once_per_reached_subset(monkeypatch):

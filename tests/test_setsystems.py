@@ -144,9 +144,9 @@ def test_twist_preserves_norm_for_arbitrary_subsets():
 def test_twist_rejects_foreign_domain():
     P = partition_sequence_of(pivot_pair_left())
     with pytest.raises(ValueError):
-        twist(P, SubsetMask.empty(("x",)))
+        twist(P, SubsetMask(("x",), 0))
     with pytest.raises(TypeError):
-        twist([", not a system"], SubsetMask.empty(("x",)))
+        twist([", not a system"], SubsetMask(("x",), 0))
 
 
 # --- norm ------------------------------------------------------------------------
