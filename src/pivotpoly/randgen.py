@@ -88,7 +88,9 @@ def valid_pivot_subset_from(rng: random.Random, domain: tuple[str, ...], nulliti
 
 
 def random_dos(rng: random.Random, n: int) -> tuple[str, ...]:
-    """A random double occurrence string over the first n letters."""
+    """A random double occurrence string over the first n letters, a to z."""
+    if n > 26:
+        raise ValueError(f"a double occurrence string has at most 26 letters, not {n}")
     letters = [chr(97 + i) for i in range(n)] * 2
     rng.shuffle(letters)
     return tuple(letters)

@@ -3,7 +3,10 @@
 A rational row is a tuple of ``fractions.Fraction`` entries, which keep
 themselves in lowest terms.  The eliminations (rank and determinant, pivot
 and the subset sweep) run on Python ints, each row scaled once by the lcm of
-its denominators, and build Fractions only for what they return.
+its denominators, and build Fractions only for what they return.  The
+subset sweep packs each pending row into one int when the Hadamard bound of
+the cleared rows is narrow, and divides exactly by the previous pivot
+(Bareiss); wider rows stay lists, each reduced row divided by its gcd.
 ``matrix.KERNELS`` imports this module on its first rational lookup.
 """
 
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from .matrix import FieldKernels, _class_sizes, mask_items
@@ -99,22 +102,92 @@ def q_rank_det(rows: Sequence[Sequence[Fraction]], bits: int) -> tuple[int, Frac
     return r, Fraction(0)
 
 
+# The widest slot, in bits, that the packed walk of q_subset_nullities takes.
+# Above it the gcd list walk can be faster: the two cross near 220-250 bits
+# on random dense rows, but near 170-180 on sparse or low-rank ones.
+PACKED_SLOT_BITS = 128
+
+
 def q_subset_nullities(rows: Sequence[Sequence[Fraction]]) -> list[int]:
     """Rational twin of :func:`~pivotpoly.matrix.f2_subset_nullities`, fraction-free.
 
-    The walk runs on the cleared rows with the same pending list.  A nonzero
-    candidate v takes its first nonzero column c as pivot, p = v[c], and
-    each later row w with f = w[c] nonzero becomes p*w - f*v divided by the
-    gcd of its entries, so the child's list vanishes on c.  The echelon
-    argument of the GF(2) walk carries over unchanged; dividing by the gcd
-    keeps each row primitive, which bounds its entries by minors of the
-    cleared matrix.  The last level is unrolled to a zero test per leaf.
+    The walk runs on the cleared rows with the same pending list, e_i then
+    A_i for each later level.  A nonzero candidate v takes its first nonzero
+    column c as pivot, p = v[c], and reduces every later row w on c with
+    f = w[c], so the child's list vanishes on c; the echelon argument of the
+    GF(2) walk carries over unchanged.
+
+    B, the product of isqrt(|r|^2) + 1 over the cleared rows r, bounds every
+    minor of every row choice (Hadamard).  When wd = bitlen(2B^2) + 2 is at
+    most ``PACKED_SLOT_BITS``, each pending row is one int of n signed
+    wd-bit slots and each step is Bareiss's: every later row w becomes
+    (p*w - f*v) // prev, prev the pivot before p (1 at the root).  The
+    division is exact, also for f = 0, so every slot stays a minor, at most
+    B, and p*w - f*v fits its slot.  Wider rows are lists, and a row with f
+    nonzero becomes p*w - f*v divided by the gcd of its entries, which keeps
+    it primitive and so bounded by minors of the cleared matrix too.
     """
     n = len(rows)
     out = [0] * (1 << n)
-    if not n:
-        return out
-    _, ints = _cleared(rows)
+    if n:
+        _, ints = _cleared(rows)
+        bound = prod(isqrt(sum(x * x for x in r)) + 1 for r in ints)
+        wd = (2 * bound * bound).bit_length() + 2
+        if wd <= PACKED_SLOT_BITS:
+            _packed_walk(ints, wd, out)
+        else:
+            _gcd_walk(ints, out)
+    return out
+
+
+def _packed_walk(ints: list[list[int]], wd: int, out: list[int]) -> None:
+    """Fill ``out`` with rows packed ``wd`` bits a slot, column j in slot j.
+
+    The pivot column c is the lowest nonzero slot of v, at bit s.  Slot c
+    of w is read with a rounding shift, since the slots below it are
+    signed: r adds 2^(s-1), which rounds them away, and half to slot c,
+    which then reads as an unsigned field; ``cols`` holds (s, r) for each
+    c.  The last two levels are unrolled: a leaf row p*w - f*v is zero
+    exactly when p*w == f*v, so the last reduction needs no division.
+    """
+    n = len(ints)
+    if n == 1:
+        out[1] = int(not ints[0][0])
+        return
+    pen, below, top = n - 2, 1 << n - 2, 1 << n - 1
+    half, low = 1 << wd - 1, (1 << wd) - 1
+    cols = [(s, (half << s) + (1 << s >> 1)) for s in range(0, n * wd, wd)]
+
+    def walk(i: int, mask: int, nul: int, prev: int, pending: list[int]) -> None:
+        if i == pen:
+            c, d = pending[2], pending[3]
+            for m, v in ((mask, pending[0]), (mask | below, pending[1])):
+                if v:
+                    s, r = cols[((v & -v).bit_length() - 1) // wd]
+                    p = ((v + r >> s) & low) - half
+                    out[m] = nul + (p * c == (((c + r) >> s & low) - half) * v)
+                    out[m | top] = nul + (p * d == (((d + r) >> s & low) - half) * v)
+                else:
+                    out[m] = nul + 1 + (not c)
+                    out[m | top] = nul + 1 + (not d)
+            return
+        rest = pending[2:]
+        for m, v in ((mask, pending[0]), (mask | 1 << i, pending[1])):
+            if not v:
+                walk(i + 1, m, nul + 1, prev, rest)
+                continue
+            s, r = cols[((v & -v).bit_length() - 1) // wd]
+            p = ((v + r >> s) & low) - half
+            walk(i + 1, m, nul, p, [(p * w - (((w + r) >> s & low) - half) * v) // prev for w in rest])
+
+    walk(0, 0, 0, 1, [x for i, row in enumerate(ints)
+                      for x in (1 << wd * i, sum(e << wd * j for j, e in enumerate(row)))])
+    del walk  # frees ``out`` with the caller, as in f2_subset_nullities
+
+
+def _gcd_walk(ints: list[list[int]], out: list[int]) -> None:
+    """Fill ``out`` with rows as lists, each reduced row divided by its gcd."""
+    n = len(ints)
     last = n - 1
     top = 1 << last
 
@@ -145,7 +218,6 @@ def q_subset_nullities(rows: Sequence[Sequence[Fraction]]) -> list[int]:
     units = [[int(i == j) for j in range(n)] for i in range(n)]
     walk(0, 0, 0, [x for u, r in zip(units, ints) for x in (u, r)])
     del walk  # frees ``out`` with the caller, as in f2_subset_nullities
-    return out
 
 
 def q_pivot_rows(rows: Sequence[Sequence[Fraction]], bits: int) -> "tuple | None":

@@ -98,6 +98,14 @@ def test_digraph_degree_invariant_random():
         assert all(outs[v] == 2 and ins[v] == 2 for v in d.vertices)
 
 
+def test_random_dos_draws_at_most_26_letters():
+    s = random_dos(random.Random(5), 26)
+    assert sorted(s) == sorted("abcdefghijklmnopqrstuvwxyz" * 2)
+    check_double_occurrence(s)
+    with pytest.raises(ValueError, match="at most 26 letters, not 27"):
+        random_dos(random.Random(5), 27)
+
+
 def test_digraph_validation():
     with pytest.raises(ValueError):
         TwoInTwoOutDigraph(("a",), (("a", "a"),))

@@ -2,7 +2,9 @@ import functools
 import gc
 import math
 import random
+import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -344,11 +346,12 @@ def test_subset_nullities_on_leaf_special_cases(field):
 
 
 def test_rational_walk_keeps_integers_small(monkeypatch):
-    # Each row the walk reduces is divided by the gcd of its entries, which
-    # keeps it primitive: its entries are then bounded by minors of the
-    # cleared matrix (Hadamard), and the p*w - f*v passed to gcd by twice
-    # that bound squared.  Without the division the sizes grow geometrically
-    # with the depth.
+    # On the list path each row the walk reduces is divided by the gcd of
+    # its entries, which keeps it primitive: its entries are then bounded by
+    # minors of the cleared matrix (Hadamard), and the p*w - f*v passed to
+    # gcd by twice that bound squared.  Without the division the sizes grow
+    # geometrically with the depth.  A slot limit of 0 sends every matrix
+    # down this path.
     sizes = []
     real_gcd = rational.gcd
 
@@ -357,6 +360,7 @@ def test_rational_walk_keeps_integers_small(monkeypatch):
         return real_gcd(*xs)
 
     monkeypatch.setattr(rational, "gcd", recording_gcd)
+    monkeypatch.setattr(rational, "PACKED_SLOT_BITS", 0)
     for A in rational_stress_matrices(random.Random(43), 16, 9):
         sizes.clear()
         assert subset_nullities(A) == subset_nullities_by_elimination(A)
@@ -368,6 +372,127 @@ def test_rational_walk_keeps_integers_small(monkeypatch):
             # The root's pivot e_0 reduces every later row with a nonzero
             # first entry.
             assert sizes, A.n
+
+
+def _hadamard_bound(A):
+    _, ints = rational._cleared(A.rows)
+    return math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in ints)
+
+
+def _slot_width(A):
+    return (2 * _hadamard_bound(A) ** 2).bit_length() + 2
+
+
+def test_packed_rational_walk_keeps_slots_within_the_hadamard_bound(monkeypatch):
+    # On the packed path every reduced row is p*w - f*v divided exactly by
+    # the previous pivot (Bareiss), so each of its n signed slots is a minor
+    # of the row choice, at most B in magnitude.  Without the division the
+    # slots grow past B and spill into their neighbours.  The profiler
+    # reads the rows that each call of the walk receives.
+    walk_code = next(c for c in rational._packed_walk.__code__.co_consts if getattr(c, "co_name", "") == "walk")
+    seen = []
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code is walk_code:
+            seen.extend(frame.f_locals["pending"])
+
+    # The wide stress matrices run it under a raised slot limit.
+    rng = random.Random(44)
+    cases = rational_stress_matrices(rng, 16, 7)
+    cases += [random_matrix(rng, RATIONAL, rng.randint(2, 9)) for _ in range(12)]
+    for A in cases:
+        B, wd = _hadamard_bound(A), _slot_width(A)
+        half, low = 1 << wd - 1, (1 << wd) - 1
+        seen.clear()
+        with monkeypatch.context() as patch:
+            if wd > rational.PACKED_SLOT_BITS:
+                patch.setattr(rational, "PACKED_SLOT_BITS", wd)
+            sys.setprofile(record)
+            try:
+                got = subset_nullities(A)
+            finally:
+                sys.setprofile(None)
+        assert got == subset_nullities_by_elimination(A)
+        assert seen or A.n < 2, A
+        for row in seen:
+            for _ in range(A.n - 1):
+                slot = (row + half & low) - half
+                assert abs(slot) <= B, (A, slot, B)
+                row = (row - slot) >> wd
+            assert abs(row) <= B, (A, row, B)
+
+
+def _count_paths(monkeypatch):
+    ran = Counter()
+    for name in ("_packed_walk", "_gcd_walk"):
+        def counted(*args, real=getattr(rational, name), name=name):
+            ran[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(rational, name, counted)
+    return ran
+
+
+def _signed_entries():
+    yield "negative ones", lambda n: [[-1] * n for _ in range(n)]
+    yield "minus identity", lambda n: [[-int(i == j) for j in range(n)] for i in range(n)]
+    yield "alternating", lambda n: [[(-1) ** (i + j) * (1 + (i * j) % 3) for j in range(n)] for i in range(n)]
+    yield "negative tail", lambda n: [[3 if j == i else -2 for j in range(n)] for i in range(n)]
+    yield "minus a row", lambda n: [[-(j + 1) * (1 if i % 2 else -1) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("path", ["_packed_walk", "_gcd_walk"])
+def test_rational_sweep_paths_match_the_elimination_oracle(monkeypatch, path):
+    # Both walks on the same inputs, each forced by the slot limit: n = 0
+    # and 1, the structured matrices, signed rows whose negative slots borrow
+    # from the slot above, and the leaf cases of the unrolled last levels.
+    ran = _count_paths(monkeypatch)
+    monkeypatch.setattr(rational, "PACKED_SLOT_BITS", 1 << 20 if path == "_packed_walk" else 0)
+    cases = [("empty", [])] + [("one", [[x]]) for x in (0, 1, -1, 5, Fraction(-3, 7))]
+    for n in range(1, 7):
+        cases += [(name, entries) for name, entries in _structured_entries(n)]
+        cases += [(name, make(n)) for name, make in _signed_entries()]
+    rng = random.Random(53)
+    for n in range(2, 8):
+        cases += [(case, entries) for case, entries in _leaf_cases(rng, RATIONAL, n)]
+    for name, entries in cases:
+        A = Matrix.from_entries(RATIONAL, labels_for(len(entries)), entries)
+        assert subset_nullities(A) == subset_nullities_by_elimination(A), (path, name, entries)
+    assert set(ran) == {path}, ran
+    assert ran[path] == len(cases) - 1  # the empty matrix runs no walk
+
+
+def test_rational_sweep_takes_the_packed_path_up_to_the_slot_limit(monkeypatch):
+    # The last row is (small, ..., small, k), so isqrt(|row|^2) + 1 grows one
+    # for one with k; k is set so that the slot width lands exactly on the
+    # limit, and one past it.
+    limit = rational.PACKED_SLOT_BITS
+    ran = _count_paths(monkeypatch)
+    rng = random.Random(59)
+    for n, dependent in ((2, False), (5, False), (5, True)):
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
+        if dependent:
+            rows[-1] = [-x for x in rows[0]]
+        rows.append([rng.randint(-3, 3) for _ in range(n - 1)] + [0])
+
+        def width(k):
+            rows[-1][-1] = k
+            return _slot_width(Matrix.from_entries(RATIONAL, labels_for(n), rows))
+
+        k = 1
+        while width(2 * k) <= limit:
+            k *= 2
+        lo, hi = k, 2 * k  # width(lo) <= limit < width(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if width(mid) <= limit else (lo, mid)
+        for k, want in ((lo, "_packed_walk"), (hi, "_gcd_walk"), (-lo, "_packed_walk")):
+            assert width(abs(k)) == (limit if want == "_packed_walk" else limit + 1)
+            rows[-1][-1] = k
+            A = Matrix.from_entries(RATIONAL, labels_for(n), rows)
+            ran.clear()
+            assert subset_nullities(A) == subset_nullities_by_elimination(A), (n, k)
+            assert set(ran) == {want}, (n, k, ran)
 
 
 def test_sweep_runs_no_per_subset_elimination(monkeypatch):
