@@ -187,8 +187,8 @@ def cohn_lempel_check(s: Sequence[str], X: SubsetMask) -> tuple[int, int]:
     return len(part), nullity_by_bits(ov, X.bits) + 1
 
 
-def walk_counts(s: Sequence[str]) -> list[int]:
-    """The number of closed walks under every flip subset, indexed by mask value.
+def walk_counts(s: Sequence[str]) -> bytearray:
+    """The number of closed walks under every flip subset, one byte each, indexed by mask value.
 
     The arc successors form one permutation, and flipping a vertex swaps
     the successors of its two entering arcs: a transposition.  It splits
@@ -205,7 +205,7 @@ def walk_counts(s: Sequence[str]) -> list[int]:
     entering = _entering_arcs(s, domain)
     L = len(s)
     succ = [(a + 1) % L for a in range(L)]
-    counts = [0] * (1 << n)
+    counts = bytearray(1 << n)  # at most n + 1 walks, and n is capped at 24
     counts[0] = walks = 1
     for step in range(1, 1 << n):
         e, f = entering[(step & -step).bit_length() - 1]

@@ -191,7 +191,7 @@ def _verify_trial(prop: str, rng: random.Random, size: int, field: str) -> bool:
 
         s = randgen.random_dos(rng, n)
         nullities = setsystems.subset_nullities(circuits.overlap_graph(s))
-        return circuits.walk_counts(s) == [k + 1 for k in nullities]
+        return circuits.walk_counts(s) == bytes([k + 1 for k in nullities])
     if prop == "recursion":
         from . import interlace
 
@@ -224,7 +224,7 @@ def _verify_trial(prop: str, rng: random.Random, size: int, field: str) -> bool:
         xs = randgen.random_vector(rng, field, n)
         return verify_partial_inverse(A, X, xs)
     if prop == "twist":
-        P = setsystems.PartitionSequence(A.domain, tuple(before))
+        P = setsystems.PartitionSequence(A.domain, bytes(before))
         return setsystems.twist(P, X) == setsystems.partition_sequence_of(pivot(A, X))
     raise ValueError(f"unknown property {prop!r}")
 

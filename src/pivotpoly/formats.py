@@ -201,7 +201,7 @@ def _partition_lines(domain, nullities):
     """Yield the text of :func:`format_partition_sequence` in pieces.
 
     ``nullities`` is indexed by mask, as in a :class:`PartitionSequence`,
-    so ``pseq`` lists straight from the sweep's list.  Class members print
+    so ``pseq`` lists straight from the sweep's bytes.  Class members print
     as sorted label sets ordered by mask value.  One pass over the
     nullities buckets each mask in a 4-byte array of its class (masks stay
     below 2^ENUMERATION_CAP).  Each class line then comes as ``k: {``,

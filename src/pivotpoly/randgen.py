@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .matrix import GF2, RATIONAL, Matrix, SubsetMask
+from .matrix import GF2, KERNELS, RATIONAL, Matrix, SubsetMask
 from .setsystems import subset_nullities
 
 __all__ = [
@@ -46,8 +46,12 @@ def _entry_draw(rng: random.Random, field: str):
 
 
 def random_matrix(rng: random.Random, field: str, n: int) -> Matrix:
+    """The matrix of n x n row-major draws, the same as ``Matrix.from_entries``
+    would build from them.  The labels are already sorted, so each row is
+    packed as it is drawn, with no dense copy, float scan or label sort."""
     draw = _entry_draw(rng, field)
-    return Matrix.from_entries(field, labels_for(n), [[draw() for _ in range(n)] for _ in range(n)])
+    pack = KERNELS[field].pack_row
+    return Matrix(field, labels_for(n), tuple(pack([draw() for _ in range(n)]) for _ in range(n)))
 
 
 def random_graph(rng: random.Random, n: int) -> Matrix:
@@ -79,7 +83,7 @@ def random_valid_pivot_subset(rng: random.Random, A: Matrix) -> SubsetMask:
 def valid_pivot_subset_from(rng: random.Random, domain: tuple[str, ...], nullities) -> SubsetMask:
     """The draw of :func:`random_valid_pivot_subset`, from a sweep already made.
 
-    ``nullities`` is the mask-indexed list of ``subset_nullities``; the
+    ``nullities`` is the mask-indexed bytes of ``subset_nullities``; the
     masks of nullity 0 in ascending order are the sorted set system, so a
     caller that needs the sweep anyway draws the same subset without a
     second one.

@@ -108,7 +108,7 @@ def q_rank_det(rows: Sequence[Sequence[Fraction]], bits: int) -> tuple[int, Frac
 PACKED_SLOT_BITS = 128
 
 
-def q_subset_nullities(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+def q_subset_nullities(rows: Sequence[Sequence[Fraction]]) -> bytearray:
     """Rational twin of :func:`~pivotpoly.matrix.f2_subset_nullities`, fraction-free.
 
     The walk runs on the cleared rows with the same pending list, e_i then
@@ -128,7 +128,7 @@ def q_subset_nullities(rows: Sequence[Sequence[Fraction]]) -> list[int]:
     it primitive and so bounded by minors of the cleared matrix too.
     """
     n = len(rows)
-    out = [0] * (1 << n)
+    out = bytearray(1 << n)
     if n:
         _, ints = _cleared(rows)
         bound = prod(isqrt(sum(x * x for x in r)) + 1 for r in ints)
@@ -140,7 +140,7 @@ def q_subset_nullities(rows: Sequence[Sequence[Fraction]]) -> list[int]:
     return out
 
 
-def _packed_walk(ints: list[list[int]], wd: int, out: list[int]) -> None:
+def _packed_walk(ints: list[list[int]], wd: int, out: bytearray) -> None:
     """Fill ``out`` with rows packed ``wd`` bits a slot, column j in slot j.
 
     The pivot column c is the lowest nonzero slot of v, at bit s.  Slot c
@@ -152,7 +152,7 @@ def _packed_walk(ints: list[list[int]], wd: int, out: list[int]) -> None:
     """
     n = len(ints)
     if n == 1:
-        out[1] = int(not ints[0][0])
+        out[1] = not ints[0][0]
         return
     pen, below, top = n - 2, 1 << n - 2, 1 << n - 1
     half, low = 1 << wd - 1, (1 << wd) - 1
@@ -185,7 +185,7 @@ def _packed_walk(ints: list[list[int]], wd: int, out: list[int]) -> None:
     del walk  # frees ``out`` with the caller, as in f2_subset_nullities
 
 
-def _gcd_walk(ints: list[list[int]], out: list[int]) -> None:
+def _gcd_walk(ints: list[list[int]], out: bytearray) -> None:
     """Fill ``out`` with rows as lists, each reduced row divided by its gcd."""
     n = len(ints)
     last = n - 1

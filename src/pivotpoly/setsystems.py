@@ -34,27 +34,28 @@ __all__ = [
 
 # Subsets are swept as bitmasks over the sorted domain.  For listings, set
 # systems, twists and rational histograms the cap bounds memory: the
-# sweep's list holds 2^n ints (2^24 x 8 B = 128 MiB), and a partition
-# sequence copies it into a tuple of the same size.  A `pseq` listing
-# prints from the list itself, with one 4-byte mask a subset besides, and
-# peaks at about 12 B a subset (about 220 MB at the cap; 67 MB measured at
-# n = 22, interpreter included).  The depth-first walk costs about
-# 0.65 us per subset over GF(2) on random matrices (0.7 s at n = 20,
-# 2.7 s at n = 22, about 11 s at the cap, on a shared 2-vCPU host under
-# CPython 3.11).  Over the rationals at n = 13, same host, it costs about
-# 3.3 us per subset with entries in -3..3 (packed rows), 11 us with
-# entries up to 10^8 and 19 us with large p/q entries (list rows).  A
-# GF(2) histogram builds no list, so for it
-# the cap bounds time (0.2 s at n = 20, 1.2 s at n = 22 and 4-8 s at the
-# cap, same host), and its memo's entry bound bounds its memory.
+# sweep fills one byte a subset (2^24 B = 16 MiB at the cap), and a
+# partition sequence copies those into bytes of the same size.  A `pseq`
+# listing prints from the sweep's bytes, with one 4-byte mask a subset
+# besides, and peaks at about 5 B a subset (about 100 MB at the cap, not
+# run; 36 MB measured at n = 22, interpreter included).  The depth-first
+# walk costs about 0.6 us per subset over GF(2) on random matrices
+# (0.6-0.7 s at n = 20, 2.3-2.6 s at n = 22, about 11 s at the cap, on a
+# shared 2-vCPU host under CPython 3.11).  Over the rationals at n = 13,
+# same host, it costs about 3.3 us per subset with entries in -3..3
+# (packed rows), 11 us with entries up to 10^8 and 19 us with large p/q
+# entries (list rows).  A
+# GF(2) histogram builds no per-subset array, so for it the cap bounds
+# time (0.2 s at n = 20, 0.7-0.9 s at n = 22 and 4-8 s at the cap, same
+# host), and its memo's entry bound bounds its memory.
 ENUMERATION_CAP = 24
 
 
-def subset_nullities(A: Matrix) -> list[int]:
-    """Nullity of A[S] for every subset, indexed by bitmask value.
+def subset_nullities(A: Matrix) -> bytearray:
+    """Nullity of A[S] for every subset, one byte each, indexed by bitmask value.
 
     This is the one exhaustive sweep: the histogram, the set system and the
-    partition sequence are all read off its list.  It is one depth-first
+    partition sequence are all read off its bytes.  It is one depth-first
     walk over the labels that keeps the candidate rows of later levels
     reduced against the rows chosen so far, so each subset costs a zero
     test (see :func:`~pivotpoly.matrix.f2_subset_nullities` and
@@ -74,7 +75,7 @@ def nullity_histogram(A: Matrix) -> tuple[int, ...]:
     """How many subsets fall in each nullity class; sums to 2^n.
 
     Over GF(2) the counts come from a walk that memoises deep subtrees and
-    builds no mask-indexed list (see
+    builds no mask-indexed array (see
     :func:`~pivotpoly.matrix.f2_nullity_histogram`).
     """
     check_enumeration_cap(A.n)
@@ -89,7 +90,7 @@ def set_system_of(A: Matrix) -> SetSystem:
 
 def partition_sequence_of(A: Matrix) -> PartitionSequence:
     """Classify every subset of the domain by the nullity of its submatrix."""
-    return PartitionSequence(A.domain, tuple(subset_nullities(A)))
+    return PartitionSequence(A.domain, bytes(subset_nullities(A)))
 
 
 def twist(obj, X: SubsetMask):
@@ -104,8 +105,23 @@ def twist(obj, X: SubsetMask):
     check_same_domain(obj, X)
     if isinstance(obj, SetSystem):
         return SetSystem(obj.domain, frozenset(m ^ X.bits for m in obj.members))
-    old, x = obj.nullities, X.bits
-    return PartitionSequence(obj.domain, tuple([old[y ^ x] for y in range(len(old))]))
+    return PartitionSequence(obj.domain, _twisted(obj.nullities, X.bits, len(obj.domain)))
+
+
+def _twisted(old: bytes, x: int, n: int) -> bytes:
+    """The bytes ``new[y] = old[y ^ x]`` for the 2^n masks y, moved by slices.
+
+    With k = n // 2, x splits into its low k bits and the rest.  The low
+    part permutes within every block of 2^k masks, which is 2^k strided
+    slice copies; the high part permutes whole blocks, one slice each.  At
+    n = 16 this is about 15 times faster than indexing every mask.
+    """
+    k = n // 2
+    step, lo, hi = 1 << k, x & (1 << k) - 1, x >> k
+    mid = bytearray(len(old))
+    for z in range(step):
+        mid[z::step] = old[z ^ lo :: step]
+    return b"".join([mid[(b ^ hi) << k : (b ^ hi) + 1 << k] for b in range(len(old) >> k)])
 
 
 def norm(P: PartitionSequence) -> tuple[int, ...]:

@@ -221,8 +221,8 @@ def rational_rank_entrywise(entries) -> int:
 
 
 def subset_nullities_by_elimination(A):
-    """Nullity of every principal submatrix A[X], indexed by mask, one
-    entrywise elimination per subset (GF(2) when A.field is "f2")."""
+    """Nullity of every principal submatrix A[X] as bytes, indexed by mask,
+    one entrywise elimination per subset (GF(2) when A.field is "f2")."""
     entries = A.to_entries()
     n = len(entries)
     rank = gf2_rank_entrywise if A.field == "f2" else rational_rank_entrywise
@@ -230,7 +230,7 @@ def subset_nullities_by_elimination(A):
     for bits in range(1 << n):
         idx = [i for i in range(n) if bits >> i & 1]
         out.append(len(idx) - rank([[entries[i][j] for j in idx] for i in idx]))
-    return out
+    return bytes(out)
 
 
 def partition_listing_by_mask(domain, nullities) -> str:

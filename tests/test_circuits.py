@@ -210,7 +210,7 @@ def test_distribution_matches_per_subset_traces():
         domain = dos_domain(s)
         n = len(domain)
         traced = [len(trace_partition(s, SubsetMask(domain, bits))) for bits in range(1 << n)]
-        assert walk_counts(s) == traced
+        assert walk_counts(s) == bytes(traced)
         expected = [traced.count(k + 1) for k in range(n + 1)]
         assert walk_distribution(s) == tuple(expected)
         # A flip transposes two successors: it splits one walk or joins two.

@@ -329,7 +329,7 @@ def test_pseq_norm_only_is_last_line_of_listing(tmp_path, capsys):
 
 
 def test_pseq_listing_builds_no_partition_sequence(tmp_path, monkeypatch, capsys):
-    # The command lists straight from the sweep's list: no tuple copy of it
+    # The command lists straight from the sweep's bytes: no copy of them
     # and no check of every entry.
     A = random_matrix(random.Random(43), GF2, 8)
     path = tmp_path / "eight.mat"
@@ -338,7 +338,7 @@ def test_pseq_listing_builds_no_partition_sequence(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(PartitionSequence, "__post_init__", lambda self: built.append(self))
     assert main(["pseq", "--matrix", str(path)]) == 0
     assert built == []
-    P = PartitionSequence(A.domain, tuple(subset_nullities(A)))
+    P = PartitionSequence(A.domain, bytes(subset_nullities(A)))
     assert capsys.readouterr().out == format_partition_sequence(P)
 
 
@@ -556,7 +556,7 @@ def test_verify_nullity_invariance_catches_wrong_pivot(monkeypatch, capsys):
 
 def test_verify_cohn_lempel_catches_wrong_walk_count(monkeypatch, capsys):
     real = circuits.walk_counts
-    monkeypatch.setattr(circuits, "walk_counts", lambda s: [c + 1 for c in real(s)])
+    monkeypatch.setattr(circuits, "walk_counts", lambda s: bytearray(c + 1 for c in real(s)))
     code, passed, trials = _verify_counts("cohn-lempel", capsys)
     assert code == 1 and passed < trials == 20
 

@@ -3,6 +3,7 @@ import gc
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -92,18 +93,20 @@ def test_class_zero_equals_set_system():
 
 
 def test_partition_sequence_validation():
-    P = PartitionSequence(("a",), (0, 1))
+    P = PartitionSequence(("a",), bytes([0, 1]))
     assert P.classes == (frozenset({0}), frozenset({1}))
-    # The nullity list holds one entry per mask: 2^n of them.
-    for nullities in [(0,), (0, 0, 0), (0, 0, 0, 0)]:
+    # The nullities are bytes, one per mask: 2^n of them.
+    for nullities in [b"\0", bytes(3), bytes(4)]:
         with pytest.raises(ValueError, match="expected 2 nullities"):
             PartitionSequence(("a",), nullities)
     # Every entry is a class index 0..n.
-    for nullities in [(0, 2), (-1, 0), (0, 5)]:
+    for nullities in [bytes([0, 2]), bytes([255, 0]), bytes([0, 5])]:
         with pytest.raises(ValueError, match=r"in 0\.\.1"):
             PartitionSequence(("a",), nullities)
-    for nullities in [(0, 1.0), (0, True), (0, "1"), (frozenset({0}), frozenset({1}))]:
-        with pytest.raises(ValueError, match="must be ints"):
+    # Any other container is refused, even with valid entries: a bytearray
+    # would make the value mutable and unhashable.
+    for nullities in [(0, 1), [0, 1], bytearray([0, 1]), memoryview(bytes([0, 1])), "\0\1"]:
+        with pytest.raises(ValueError, match="must be bytes"):
             PartitionSequence(("a",), nullities)
 
 
@@ -141,6 +144,19 @@ def test_twist_preserves_norm_for_arbitrary_subsets():
         P = partition_sequence_of(A)
         X = SubsetMask(A.domain, rng.randrange(1 << A.n))  # may be singular
         assert norm(twist(P, X)) == norm(P)
+
+
+def test_twist_moves_every_mask_to_its_index():
+    # The twist moves blocks by slices; the reference indexes every mask.
+    # Every x for n <= 5 covers odd and even splits into low and high bits.
+    rng = random.Random(12)
+    for n in range(10):
+        domain = tuple(f"v{i}" for i in range(n))
+        P = PartitionSequence(domain, bytes(rng.randint(0, n) for _ in range(1 << n)))
+        xs = range(1 << n) if n <= 5 else [rng.randrange(1 << n) for _ in range(8)]
+        for x in xs:
+            want = bytes(P.nullities[y ^ x] for y in range(1 << n))
+            assert twist(P, SubsetMask(domain, x)).nullities == want, (n, x)
 
 
 def test_twist_rejects_foreign_domain():
@@ -209,7 +225,7 @@ def test_subset_nullities_agree_with_direct_computation():
         field = rng.choice([GF2, RATIONAL])
         A = random_matrix(rng, field, rng.randint(0, 6))
         sweep = subset_nullities(A)
-        assert partition_sequence_of(A).nullities == tuple(sweep)
+        assert partition_sequence_of(A).nullities == sweep
         for bits in range(1 << A.n):
             X = SubsetMask(A.domain, bits)
             assert sweep[bits] == nullity(principal_submatrix(A, X))
@@ -224,7 +240,7 @@ def test_histogram_equals_norm():
 
 
 def test_sweeps_leave_no_reference_cycle():
-    # A cycle would keep the sweep's list or memo alive until the next
+    # A cycle would keep the sweep's bytes or memo alive until the next
     # garbage collection, for example through a whole pseq listing.
     rng = random.Random(21)
     gc.collect()
@@ -237,6 +253,31 @@ def test_sweeps_leave_no_reference_cycle():
                 assert gc.collect() == 0, (field, sweep.__name__)
     finally:
         gc.enable()
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_is_one_byte_a_subset():
+    # 2^16 nullities fill 64 KiB as bytes; a list of them alone is 512 KiB.
+    A = random_matrix(random.Random(16), GF2, 16)
+    peak = _traced_peak(lambda: subset_nullities(A))
+    assert peak < 256 * 1024, peak
+
+
+def test_histogram_memo_keeps_each_count_once():
+    # The memo of the last four levels holds about 27 000 entries here but
+    # fewer than 600 distinct count vectors, each stored once.  Five levels
+    # with a count int per entry peaked at 3.4 MiB.
+    A = random_matrix(random.Random(18), GF2, 18)
+    peak = _traced_peak(lambda: nullity_histogram(A))
+    assert peak < 2 * 1024 * 1024, peak
 
 
 def test_subset_nullities_match_elimination_oracle():
