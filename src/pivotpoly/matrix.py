@@ -484,34 +484,34 @@ def f2_subset_nullities(rows: Sequence[int]) -> bytearray:
     return out
 
 
-# The histogram walk memoises the subtrees rooted in its last four levels,
-# and this bounds the entries its memo holds.  Past the bound it stops
-# inserting and keeps walking.  Equal counts share one int, so the memo's
-# size is its dict and its keys: a random n = 18 matrix fills 17 000-26 000
-# entries with 130-150 distinct counts and the call peaks at 1.3-1.4 MiB
-# (tracemalloc), or 2.7 MiB past 21 845 entries, where the dict doubles
-# its table; a random n = 18 graph fills 7 000-10 500 entries with 29
-# counts and peaks at 0.65-0.7 MiB.  From n = 20 random matrices, and from
-# n = 22 random graphs, fill the whole bound and peak at 5.7 MiB.
-_HISTOGRAM_MEMO_ENTRIES = 1 << 16
-_HISTOGRAM_MEMO_LEVELS = 4
+# The histogram runs one level pass over at most this many labels.  A
+# level's dict holds one entry per distinct pending list, and their number
+# grows with the labels the pass covers: one pass over all the labels of a
+# random 24-label matrix peaked at 131 MB resident.  Past this bound the
+# first n - 18 labels split depth-first and each branch runs its own pass,
+# so no pass holds more than 18 labels' worth of states (1.3-2.4 MiB on
+# random 18-label matrices, tracemalloc; the process peaked at 17.8 MB at
+# 24 labels).
+_LEVEL_PASS_LABELS = 18
 
 
 def f2_nullity_histogram(rows: Sequence[int]) -> tuple[int, ...]:
     """How many masks X give A[X] over GF(2) each nullity 0..n.
 
-    The walk of :func:`f2_subset_nullities` on the same packed list,
-    returning counts instead of mask-indexed bytes.  Each subtree returns
-    its counts relative to the running nullity, packed into one int with
-    W = n + 1 bits per class (a subtree holds at most 2^n subsets): a zero
-    candidate shifts its child's counts up by W bits, and siblings add.  By
-    the echelon argument there, a subtree's counts depend only on its
-    pending list, so subtrees in the last levels are memoised by that int.
-    A 1 above the top row marks the level, since the rows of two levels
-    can pack to one int when the extra rows have all reduced to zero; no
-    ``base`` reaches it, so no reduction moves it.
-    Deep levels repeat a lot: on three random n = 18 matrices the 2^16
-    nodes of level 16 held 1 964-2 272 distinct lists.
+    The walk of :func:`f2_subset_nullities` on the same packed list, run
+    level by level and returning counts instead of mask-indexed bytes.  By
+    the echelon argument there, the counts below a node depend only on its
+    pending list, so each level keeps one entry per distinct list, with
+    its weight: the ways it is reached, counted by running nullity and
+    packed into one int, W = n + 1 bits per class (a level holds at most
+    2^n subsets).  A nonzero candidate v passes the weight w to its child,
+    and a zero candidate passes ``w << W``, one nullity up.  The last two
+    labels are unrolled into the relative counts t of each list, and the
+    product ``w * t`` adds them at every running nullity at once.  Deep
+    levels repeat a lot: on three random n = 18 matrices the 2^16 nodes of
+    level 16 held 1 964-2 272 distinct lists.  Domains over
+    ``_LEVEL_PASS_LABELS`` labels walk their first labels depth-first and
+    run one pass per branch.
     """
     n = len(rows)
     if not n:
@@ -521,21 +521,37 @@ def f2_nullity_histogram(rows: Sequence[int]) -> tuple[int, ...]:
     width = n + 1
     one, two = 1 << width, 1 << 2 * width
     last = n - 2
-    deep = n - _HISTOGRAM_MEMO_LEVELS
-    room = _HISTOGRAM_MEMO_ENTRIES
-    memo: dict[int, int] = {}
-    canon: dict[int, int] = {}  # one int per distinct count vector in memo
+    split = min(max(n - _LEVEL_PASS_LABELS, 0), last)
     low, pair = (1 << n) - 1, 2 * n
     bases = [((1 << pair * k) - 1) // low for k in range(n - 1, 0, -1)]
 
-    def walk(i: int, pending: int) -> int:
-        if i >= deep:
-            t = memo.get(pending)
-            if t is not None:
-                return t
-        t = 0
-        if i == last:
-            c, d = pending >> pair & low, pending >> 3 * n & low
+    def level_pass(i: int, level: dict[int, int]) -> int:
+        for i in range(i, last):
+            base, nxt = bases[i], {}
+            get = nxt.get
+            # The two candidates, e_i then A_i, unrolled: a loop over the
+            # pair cost 5-10% here.
+            for pending, w in level.items():
+                rest = pending >> pair
+                v = pending & low
+                if v:
+                    s = (v & -v).bit_length() - 1
+                    child = rest ^ (rest >> s & base) * v
+                    nxt[child] = get(child, 0) + w
+                else:
+                    nxt[rest] = get(rest, 0) + (w << width)
+                v = pending >> n & low
+                if v:
+                    s = (v & -v).bit_length() - 1
+                    child = rest ^ (rest >> s & base) * v
+                    nxt[child] = get(child, 0) + w
+                else:
+                    nxt[rest] = get(rest, 0) + (w << width)
+            level = nxt
+        total = 0
+        for pending, w in level.items():
+            c, d = pending >> pair & low, pending >> 3 * n
+            t = 0
             for v in (pending & low, pending >> n & low):
                 if v:
                     h = v & -v
@@ -543,20 +559,24 @@ def f2_nullity_histogram(rows: Sequence[int]) -> tuple[int, ...]:
                     t += 1 if (d ^ v if d & h else d) else one
                 else:
                     t += (one if c else two) + (one if d else two)
-        else:
-            rest, base = pending >> pair, bases[i]
-            for v in (pending & low, pending >> n & low):
-                if v:
-                    s = (v & -v).bit_length() - 1
-                    t += walk(i + 1, rest ^ (rest >> s & base) * v)
-                else:
-                    t += walk(i + 1, rest) << width
-        if i >= deep and len(memo) < room:
-            memo[pending] = t = canon.setdefault(t, t)
+            total += w * t
+        return total
+
+    def walk(i: int, pending: int, w: int) -> int:
+        if i == split:
+            return level_pass(i, {pending: w})
+        rest, base = pending >> pair, bases[i]
+        t = 0
+        for v in (pending & low, pending >> n & low):
+            if v:
+                s = (v & -v).bit_length() - 1
+                t += walk(i + 1, rest ^ (rest >> s & base) * v, w)
+            else:
+                t += walk(i + 1, rest, w << width)
         return t
 
-    t = walk(0, sum((1 << i | r << n) << pair * i for i, r in enumerate(rows)) | 1 << pair * n)
-    del walk  # frees the memo now, as in f2_subset_nullities
+    t = walk(0, sum((1 << i | r << n) << pair * i for i, r in enumerate(rows)), 1)
+    del walk  # frees its cell now, as in f2_subset_nullities
     return tuple(t >> (width * k) & (one - 1) for k in range(n + 1))
 
 

@@ -46,8 +46,8 @@ __all__ = [
 # (packed rows), 11 us with entries up to 10^8 and 19 us with large p/q
 # entries (list rows).  A
 # GF(2) histogram builds no per-subset array, so for it the cap bounds
-# time (0.2 s at n = 20, 0.7-0.9 s at n = 22 and 4-8 s at the cap, same
-# host), and its memo's entry bound bounds its memory.
+# time (0.1-0.2 s at n = 20, 0.3-0.7 s at n = 22 and 1.4-2.2 s at the
+# cap, same host), and the labels one level pass covers bound its memory.
 ENUMERATION_CAP = 24
 
 
@@ -74,9 +74,9 @@ def check_enumeration_cap(n: int, what: str = "domain size") -> None:
 def nullity_histogram(A: Matrix) -> tuple[int, ...]:
     """How many subsets fall in each nullity class; sums to 2^n.
 
-    Over GF(2) the counts come from a walk that memoises deep subtrees and
-    builds no mask-indexed array (see
-    :func:`~pivotpoly.matrix.f2_nullity_histogram`).
+    Over GF(2) the counts come from a level pass that expands each
+    distinct pending list once, with a weight, and builds no mask-indexed
+    array (see :func:`~pivotpoly.matrix.f2_nullity_histogram`).
     """
     check_enumeration_cap(A.n)
     return KERNELS[A.field].nullity_histogram(A.rows)

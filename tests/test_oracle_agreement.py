@@ -68,3 +68,28 @@ def test_every_small_input_matches_the_benchmark_oracle(tmp_path, capsys):
         assert _run(capsys, ["orbit", "--graph", path]) == want, rows
         graphs += 1
     assert (matrices, graphs) == (530, 1098)
+
+
+def _every_double_occurrence_string():
+    """Every double occurrence string on 1-4 letters up to relabelling: the
+    letters first occur in alphabetical order, so 1 + 3 + 15 + 105 strings."""
+    def grow(word, k, opened):
+        if len(word) == 2 * k:
+            yield word
+            return
+        if opened < k:
+            yield from grow(word + LABELS[opened], k, opened + 1)
+        for letter in LABELS[:opened]:
+            if word.count(letter) == 1:
+                yield from grow(word + letter, k, opened)
+
+    for k in range(1, 5):
+        yield from grow("", k, 0)
+
+
+def test_every_small_distribution_matches_the_benchmark_oracle(capsys):
+    strings = 0
+    for dos in _every_double_occurrence_string():
+        assert _run(capsys, ["distribution", "--dos", dos]) == oracle.distribution_text(dos), dos
+        strings += 1
+    assert strings == 124

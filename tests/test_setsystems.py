@@ -240,7 +240,7 @@ def test_histogram_equals_norm():
 
 
 def test_sweeps_leave_no_reference_cycle():
-    # A cycle would keep the sweep's bytes or memo alive until the next
+    # A cycle would keep the sweep's bytes or level dicts alive until the next
     # garbage collection, for example through a whole pseq listing.
     rng = random.Random(21)
     gc.collect()
@@ -271,13 +271,22 @@ def test_sweep_memory_is_one_byte_a_subset():
     assert peak < 256 * 1024, peak
 
 
-def test_histogram_memo_keeps_each_count_once():
-    # The memo of the last four levels holds about 27 000 entries here but
-    # fewer than 600 distinct count vectors, each stored once.  Five levels
-    # with a count int per entry peaked at 3.4 MiB.
+def test_histogram_level_pass_memory():
+    # One pass over all 18 labels holds two levels' dicts at a time: about
+    # 1.45 MB here.
     A = random_matrix(random.Random(18), GF2, 18)
     peak = _traced_peak(lambda: nullity_histogram(A))
     assert peak < 2 * 1024 * 1024, peak
+
+
+def test_histogram_split_bounds_the_level_pass(monkeypatch):
+    # With passes of 12 labels the first 6 labels split depth-first, and
+    # no pass holds more than 12 labels' worth of states: about 70 KB
+    # here, against 1.45 MB for one pass over all 18 labels.
+    monkeypatch.setattr(matrix, "_LEVEL_PASS_LABELS", 12)
+    A = random_matrix(random.Random(18), GF2, 18)
+    peak = _traced_peak(lambda: nullity_histogram(A))
+    assert peak < 256 * 1024, peak
 
 
 def test_subset_nullities_match_elimination_oracle():
@@ -574,26 +583,31 @@ def test_enumeration_cap_is_enforced():
 
 @functools.cache
 def _reference_histogram(A):
-    """Class sizes of the entrywise elimination oracle, shared by every memo bound."""
+    """Class sizes of the entrywise elimination oracle, shared by every pass bound."""
     counts = Counter(subset_nullities_by_elimination(A))
     return tuple(counts[k] for k in range(A.n + 1))
 
 
-# None keeps the module's bound; 0 and 1 run the walk's "memo full" path
-# from the first subtree on, so every count is then walked, not looked up.
-MEMO_BOUNDS = [None, 0, 1]
+# The bound on the labels one level pass covers; the labels before it
+# split depth-first.  0 and 1 ask for fewer labels than the unrolled last
+# two, so the split runs down to them and every input goes through the
+# split alone; 3 mixes split and pass from n = 4 on; None keeps the
+# module's bound, so every small input goes through the level pass alone.
+LEVEL_PASS_BOUNDS = [None, 0, 1, 3]
 
 
-@pytest.fixture(params=MEMO_BOUNDS, ids=lambda b: f"memo_entries={b}")
-def memo_bound(request, monkeypatch):
+@pytest.fixture(
+    params=LEVEL_PASS_BOUNDS, ids=lambda b: f"level_pass_labels={'default' if b is None else b}"
+)
+def level_pass_bound(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(matrix, "_HISTOGRAM_MEMO_ENTRIES", request.param)
+        monkeypatch.setattr(matrix, "_LEVEL_PASS_LABELS", request.param)
     return request.param
 
 
-def test_histogram_walk_on_every_small_gf2_matrix(memo_bound):
+def test_histogram_walk_on_every_small_gf2_matrix(level_pass_bound):
     # n = 0 and 1 are special-cased; n = 2 and 3 run the unrolled leaf
-    # levels alone and under one walk level, with every level memoised.
+    # labels alone and after one level.
     count = 0
     for n in range(4):
         for bits in range(1 << (n * n)):
@@ -604,7 +618,7 @@ def test_histogram_walk_on_every_small_gf2_matrix(memo_bound):
     assert count == 531
 
 
-def test_histogram_walk_on_random_matrices_and_graphs(memo_bound):
+def test_histogram_walk_on_random_matrices_and_graphs(level_pass_bound):
     rng = random.Random(53)
     for n in range(11):
         for _ in range(4):
@@ -612,7 +626,7 @@ def test_histogram_walk_on_random_matrices_and_graphs(memo_bound):
                 assert nullity_histogram(A) == _reference_histogram(A), (n, A.rows)
 
 
-def test_histogram_walk_on_leaf_special_cases(memo_bound):
+def test_histogram_walk_on_leaf_special_cases(level_pass_bound):
     rng = random.Random(59)
     for n in range(2, 11):
         for case, entries in _leaf_cases(rng, GF2, n):
@@ -643,7 +657,7 @@ def _packing_boundary_cases(rng, n):
     ]
 
 
-def test_histogram_walk_at_the_packing_boundaries(memo_bound):
+def test_histogram_walk_at_the_packing_boundaries(level_pass_bound):
     rng = random.Random(71)
     for n in range(2, 11):
         for case, entries in _packing_boundary_cases(rng, n):
@@ -652,14 +666,15 @@ def test_histogram_walk_at_the_packing_boundaries(memo_bound):
             assert subset_nullities(A) == subset_nullities_by_elimination(A), (n, case)
 
 
-@pytest.mark.parametrize("levels", [0, 1, 3, 64])
-def test_histogram_walk_at_every_memo_depth(levels, monkeypatch):
-    # 0 memoises nothing, 1 only the unrolled leaf level, 64 every level.
-    monkeypatch.setattr(matrix, "_HISTOGRAM_MEMO_LEVELS", levels)
+def test_histogram_walk_at_every_split_depth(monkeypatch):
+    # Every bound from 0 (the split runs down to the unrolled labels)
+    # to n + 1 (one level pass over every label).
     rng = random.Random(61)
     for n in range(11):
         for A in (random_matrix(rng, GF2, n), random_graph(rng, n)):
-            assert nullity_histogram(A) == _reference_histogram(A), (levels, n)
+            for labels in range(n + 2):
+                monkeypatch.setattr(matrix, "_LEVEL_PASS_LABELS", labels)
+                assert nullity_histogram(A) == _reference_histogram(A), (labels, n)
 
 
 def test_histogram_consumers_build_no_mask_list(monkeypatch, capsys):
