@@ -271,9 +271,10 @@ def test_sweep_memory_is_one_byte_a_subset():
     assert peak < 256 * 1024, peak
 
 
-def test_histogram_level_pass_memory():
-    # One pass over all 18 labels holds two levels' dicts at a time: about
-    # 1.45 MB here.
+def test_histogram_memo_keeps_each_count_once():
+    # Each level's dict keeps every distinct pending list once, with its
+    # counts by nullity packed into one int.  One pass over all 18 labels
+    # holds two levels' dicts at a time: about 1.45 MB here.
     A = random_matrix(random.Random(18), GF2, 18)
     peak = _traced_peak(lambda: nullity_histogram(A))
     assert peak < 2 * 1024 * 1024, peak
@@ -666,15 +667,16 @@ def test_histogram_walk_at_the_packing_boundaries(level_pass_bound):
             assert subset_nullities(A) == subset_nullities_by_elimination(A), (n, case)
 
 
-def test_histogram_walk_at_every_split_depth(monkeypatch):
-    # Every bound from 0 (the split runs down to the unrolled labels)
-    # to n + 1 (one level pass over every label).
+@pytest.mark.parametrize("labels", [*range(11), 64])
+def test_histogram_walk_at_every_memo_depth(labels, monkeypatch):
+    # The labels whose equal pending lists the level pass merges: 0 (the
+    # split runs down to the unrolled labels) up to 10, then 64, one pass
+    # over every label.  Below n each bound mixes split and pass.
+    monkeypatch.setattr(matrix, "_LEVEL_PASS_LABELS", labels)
     rng = random.Random(61)
     for n in range(11):
         for A in (random_matrix(rng, GF2, n), random_graph(rng, n)):
-            for labels in range(n + 2):
-                monkeypatch.setattr(matrix, "_LEVEL_PASS_LABELS", labels)
-                assert nullity_histogram(A) == _reference_histogram(A), (labels, n)
+            assert nullity_histogram(A) == _reference_histogram(A), (labels, n)
 
 
 def test_histogram_consumers_build_no_mask_list(monkeypatch, capsys):
