@@ -487,11 +487,12 @@ def f2_subset_nullities(rows: Sequence[int]) -> bytearray:
 # The histogram runs one level pass over at most this many labels.  A
 # level's dict holds one entry per distinct pending list, and their number
 # grows with the labels the pass covers: one pass over all the labels of a
-# random 24-label matrix peaked at 131 MB resident.  Past this bound the
-# first n - 18 labels split depth-first and each branch runs its own pass,
-# so no pass holds more than 18 labels' worth of states (1.3-2.4 MiB on
-# random 18-label matrices, tracemalloc; the process peaked at 17.8 MB at
-# 24 labels).
+# random 24-label matrix peaked at 131 MB resident.  Past this bound a first
+# pass covers the first n - 18 labels, and each pending list it reaches
+# (at most 2^(n - 18) of them, kept while the passes run) runs its own pass
+# over the last 18 labels, so no pass holds more than 18 labels' worth of
+# states (1.3-2.4 MiB on random 18-label matrices, tracemalloc; the process
+# peaked at 17.8 MB at 24 labels).
 _LEVEL_PASS_LABELS = 18
 
 
@@ -505,28 +506,23 @@ def f2_nullity_histogram(rows: Sequence[int]) -> tuple[int, ...]:
     its weight: the ways it is reached, counted by running nullity and
     packed into one int, W = n + 1 bits per class (a level holds at most
     2^n subsets).  A nonzero candidate v passes the weight w to its child,
-    and a zero candidate passes ``w << W``, one nullity up.  The last two
-    labels are unrolled into the relative counts t of each list, and the
-    product ``w * t`` adds them at every running nullity at once.  Deep
-    levels repeat a lot: on three random n = 18 matrices the 2^16 nodes of
-    level 16 held 1 964-2 272 distinct lists.  Domains over
-    ``_LEVEL_PASS_LABELS`` labels walk their first labels depth-first and
-    run one pass per branch.
+    and a zero candidate passes ``w << W``, one nullity up.  After the last
+    label every list is empty, so the last level is one entry, 0, whose
+    weight is the histogram.  Deep levels repeat a lot: on three random
+    n = 18 matrices the 2^16 nodes of level 16 held 1 964-2 272 distinct
+    lists.  Domains over ``_LEVEL_PASS_LABELS`` labels run a first pass
+    over their first n - ``_LEVEL_PASS_LABELS`` labels, then one pass over
+    the rest from each list it reaches, and add the weights those passes
+    end with.
     """
     n = len(rows)
-    if not n:
-        return (1,)
-    if n == 1:
-        return (2, 0) if rows[0] else (1, 1)
     width = n + 1
-    one, two = 1 << width, 1 << 2 * width
-    last = n - 2
-    split = min(max(n - _LEVEL_PASS_LABELS, 0), last)
+    split = max(n - _LEVEL_PASS_LABELS, 0)
     low, pair = (1 << n) - 1, 2 * n
-    bases = [((1 << pair * k) - 1) // low for k in range(n - 1, 0, -1)]
+    bases = [((1 << pair * k) - 1) // low for k in range(n - 1, -1, -1)]
 
-    def level_pass(i: int, level: dict[int, int]) -> int:
-        for i in range(i, last):
+    def expand(level: dict[int, int], start: int, stop: int) -> dict[int, int]:
+        for i in range(start, stop):
             base, nxt = bases[i], {}
             get = nxt.get
             # The two candidates, e_i then A_i, unrolled: a loop over the
@@ -548,36 +544,11 @@ def f2_nullity_histogram(rows: Sequence[int]) -> tuple[int, ...]:
                 else:
                     nxt[rest] = get(rest, 0) + (w << width)
             level = nxt
-        total = 0
-        for pending, w in level.items():
-            c, d = pending >> pair & low, pending >> 3 * n
-            t = 0
-            for v in (pending & low, pending >> n & low):
-                if v:
-                    h = v & -v
-                    t += 1 if (c ^ v if c & h else c) else one
-                    t += 1 if (d ^ v if d & h else d) else one
-                else:
-                    t += (one if c else two) + (one if d else two)
-            total += w * t
-        return total
+        return level
 
-    def walk(i: int, pending: int, w: int) -> int:
-        if i == split:
-            return level_pass(i, {pending: w})
-        rest, base = pending >> pair, bases[i]
-        t = 0
-        for v in (pending & low, pending >> n & low):
-            if v:
-                s = (v & -v).bit_length() - 1
-                t += walk(i + 1, rest ^ (rest >> s & base) * v, w)
-            else:
-                t += walk(i + 1, rest, w << width)
-        return t
-
-    t = walk(0, sum((1 << i | r << n) << pair * i for i, r in enumerate(rows)), 1)
-    del walk  # frees its cell now, as in f2_subset_nullities
-    return tuple(t >> (width * k) & (one - 1) for k in range(n + 1))
+    root = sum((1 << i | r << n) << pair * i for i, r in enumerate(rows))
+    t = sum(expand({p: w}, split, n)[0] for p, w in expand({root: 1}, 0, split).items())
+    return tuple(t >> (width * k) & ((1 << width) - 1) for k in range(n + 1))
 
 
 def f2_pivot_rows(rows: Sequence[int], bits: int) -> "tuple[int, ...] | None":

@@ -281,9 +281,10 @@ def test_histogram_memo_keeps_each_count_once():
 
 
 def test_histogram_split_bounds_the_level_pass(monkeypatch):
-    # With passes of 12 labels the first 6 labels split depth-first, and
-    # no pass holds more than 12 labels' worth of states: about 70 KB
-    # here, against 1.45 MB for one pass over all 18 labels.
+    # With passes of 12 labels a first pass covers the first 6 labels and
+    # each list it reaches runs its own pass over the last 12, so no pass
+    # holds more than 12 labels' worth of states: about 75 KB here,
+    # against 1.45 MB for one pass over all 18 labels.
     monkeypatch.setattr(matrix, "_LEVEL_PASS_LABELS", 12)
     A = random_matrix(random.Random(18), GF2, 18)
     peak = _traced_peak(lambda: nullity_histogram(A))
@@ -589,11 +590,11 @@ def _reference_histogram(A):
     return tuple(counts[k] for k in range(A.n + 1))
 
 
-# The bound on the labels one level pass covers; the labels before it
-# split depth-first.  0 and 1 ask for fewer labels than the unrolled last
-# two, so the split runs down to them and every input goes through the
-# split alone; 3 mixes split and pass from n = 4 on; None keeps the
-# module's bound, so every small input goes through the level pass alone.
+# The bound on the labels one level pass covers; a prefix pass covers the
+# labels before it, and each list it reaches runs its own pass over the
+# rest.  0 puts every label in the prefix; 1 leaves one label to each pass;
+# 3 mixes the prefix and the pass from n = 4 on; None keeps the module's
+# bound, so every small input runs one pass.
 LEVEL_PASS_BOUNDS = [None, 0, 1, 3]
 
 
@@ -607,8 +608,9 @@ def level_pass_bound(request, monkeypatch):
 
 
 def test_histogram_walk_on_every_small_gf2_matrix(level_pass_bound):
-    # n = 0 and 1 are special-cased; n = 2 and 3 run the unrolled leaf
-    # labels alone and after one level.
+    # Every GF(2) matrix with n <= 3 (1 + 2 + 16 + 512 = 531 of them): the
+    # empty domain, whose root list is already empty, and every zero or
+    # nonzero candidate at each of up to three labels.
     count = 0
     for n in range(4):
         for bits in range(1 << (n * n)):
@@ -669,14 +671,24 @@ def test_histogram_walk_at_the_packing_boundaries(level_pass_bound):
 
 @pytest.mark.parametrize("labels", [*range(11), 64])
 def test_histogram_walk_at_every_memo_depth(labels, monkeypatch):
-    # The labels whose equal pending lists the level pass merges: 0 (the
-    # split runs down to the unrolled labels) up to 10, then 64, one pass
-    # over every label.  Below n each bound mixes split and pass.
+    # The labels one level pass covers: 0 (the prefix pass covers every
+    # label) up to 10, then 64, one pass over every label.  Below n each
+    # bound mixes the prefix and the pass.
     monkeypatch.setattr(matrix, "_LEVEL_PASS_LABELS", labels)
     rng = random.Random(61)
     for n in range(11):
         for A in (random_matrix(rng, GF2, n), random_graph(rng, n)):
             assert nullity_histogram(A) == _reference_histogram(A), (labels, n)
+
+
+def test_histogram_default_split_matches_the_sweep():
+    # One label past the default bound: a prefix pass over label 0, then
+    # one pass over the last 18 labels from each list it reaches.
+    n = 19
+    assert matrix._LEVEL_PASS_LABELS < n
+    rng = random.Random(73)
+    for A in (random_matrix(rng, GF2, n), random_graph(rng, n)):
+        assert nullity_histogram(A) == matrix._class_sizes(subset_nullities(A), n)
 
 
 def test_histogram_consumers_build_no_mask_list(monkeypatch, capsys):
