@@ -152,6 +152,33 @@ def _elementary_pivot_rows(
     return tuple(out)
 
 
+def _packed_pivot(graph: int, part: int, n: int, base: int, cut: int) -> int:
+    """:func:`_elementary_pivot_rows` on a graph packed into one int, row x
+    at bits x·n, with everything outside ``cut`` deleted.
+
+    With N(x) the row of x with its own loop bit flipped, as there: ``base``
+    has bit x·n set for every row x, so ``graph >> i & base`` is column i
+    spread to row positions, and spread(N(i)) is that column with bit i·n
+    flipped.  One multiply adds a row to every row of a spread mask, and
+    the three classes take two: each vertex of N(i) gets N(j), plus N(i)
+    when j is looped, and each vertex of N(j) gets N(i), plus N(j) when i
+    is looped, so a vertex of both gets the sum, its class's partners.
+    """
+    i = (part & -part).bit_length() - 1
+    j = part.bit_length() - 1
+    low = (1 << n) - 1
+    r_i = graph >> i * n & low
+    s_i = (graph >> i & base) ^ 1 << i * n
+    if i == j:
+        return (graph ^ s_i * (r_i ^ 1 << i)) & cut
+    r_j = graph >> j * n & low
+    s_j = (graph >> j & base) ^ 1 << j * n
+    n_i, n_j = r_i ^ 1 << i, r_j ^ 1 << j
+    to_i = n_j ^ n_i if r_j >> j & 1 else n_j
+    to_j = n_i ^ n_j if r_i >> i & 1 else n_i
+    return (graph ^ s_i * to_i ^ s_j * to_j) & cut
+
+
 def _elementary_parts(rows: tuple[int, ...], within: int):
     """Applicable elementary pivots of packed graph rows inside a mask, as
     bitmasks: loops first by label, then loopless edges in lexicographic order."""

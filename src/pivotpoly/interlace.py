@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from operator import add
 
-from .graphs import _elementary_pivot_rows, require_graph
+from .graphs import _elementary_pivot_rows, _packed_pivot, require_graph
 from .matrix import Matrix, _Value
 
 __all__ = [
@@ -31,9 +31,11 @@ __all__ = [
 # once, and this cap bounds the rows of all those subgraphs together,
 # which bounds both the rows held at once and the time.  Rows, not
 # entries: on long paths one entry holds hundreds of rows.  A call that
-# reaches the cap has run about 1 s and peaked near 90-135 MB on a random
-# graph of 26 to 36 vertices.  A path on n vertices in label order reaches
-# about n^2 / 2 rows, so it finishes up to 2 895 vertices (990 in 0.2 s).
+# reaches the cap has run 0.2-0.5 s and peaked at 40-60 MB of process
+# memory on a random graph of 26 to 36 vertices, whose subgraphs are keyed
+# as packed ints.  A path on n vertices in label order reaches
+# n(n + 1)/2 - 1 rows, so it finishes up to 2 895 vertices (990 in 0.11 s,
+# 2 890 in 1.8 s).
 RECURSION_MEMO_CAP = 1 << 22
 
 
@@ -172,19 +174,90 @@ def interlace_recursive(G: Matrix) -> Poly:
     ``ValueError`` is raised.  The bound is on subgraphs, not labels, so
     sparse graphs well past ``ENUMERATION_CAP`` finish, and no depth limits
     it: a path or a matching of a thousand edges finishes.
+
+    Subgraphs are keyed in one of two formats, chosen by the vertex count n
+    of G.  Up to ``_PACKED_RECURSION_VERTICES`` = 64 vertices a subgraph is
+    one int, row x at bits x·n, and its weight one int, W = n + 1 bits a
+    power of y (:func:`_packed_recursion`).  Past that a subgraph is its
+    tuple of rows and its weight a tuple of coefficients
+    (:func:`_row_recursion`).  Every step on a packed key runs over k·n
+    bits, so it wins on the dense graphs that finish under the cap, which
+    have few vertices, and loses on long sparse ones, the only graphs past
+    64 vertices that finish: forcing packed keys took a discrete graph on
+    96 / 160 vertices 1.05× / 1.5× and a 200-vertex path 1.1-1.2× the row
+    tuples' time, where 64-vertex paths, matchings and discrete graphs were
+    no slower.  W bits suffice: the terms are nonnegative and q(G) is the
+    sum of w_H q(H) over any level, so each coefficient of a weight w_H is
+    at most one of q(G), at most q(G)(1) <= q(G)(2) = 2^n < 2^W.
     """
     require_graph(G)
-    levels: list[dict[tuple[int, ...], tuple[int, ...]]] = [{} for _ in range(G.n + 1)]
-    room = RECURSION_MEMO_CAP - _reach(levels, G.rows, (1,))
-    for u in range(G.n - 1, -1, -1):
+    if G.n > _PACKED_RECURSION_VERTICES:
+        return _row_recursion(G.rows)
+    return _packed_recursion(G.rows)
+
+
+# Past this many vertices the recursion keys subgraphs as row tuples.
+_PACKED_RECURSION_VERTICES = 64
+
+
+def _memo_cap_error() -> ValueError:
+    return ValueError(
+        f"deletion recursion exceeds the memo cap of {RECURSION_MEMO_CAP} rows"
+    )
+
+
+def _packed_recursion(rows: tuple[int, ...]) -> Poly:
+    """The level loop of :func:`interlace_recursive` on packed ints.
+
+    A subgraph on k vertices is one int with row x at bits x·n, n the size
+    of the input graph, so deleting u is one AND with ``cut``, which keeps
+    the rows and columns below u, and stripping trailing isolated vertices
+    is reading k = ceil(bit_length / n).  Merging two weights is ``+``, and
+    stripping j vertices is ``<< j·W``.
+    """
+    n = len(rows)
+    width = n + 1
+    graph = sum(r << x * n for x, r in enumerate(rows))
+    k = -(-graph.bit_length() // n) if graph else 0
+    base = sum(1 << x * n for x in range(k))
+    levels: list[dict[int, int]] = [{} for _ in range(k + 1)]
+    levels[k][graph] = 1 << (n - k) * width
+    room = RECURSION_MEMO_CAP - k
+    for u in range(k - 1, -1, -1):
+        cut, un = (base & (1 << u * n) - 1) * ((1 << u) - 1), u * n
+        for graph, weight in levels.pop().items():
+            # Every new entry is expanded later, so checking here misses none.
+            if room < 0:
+                raise _memo_cap_error()
+            # Row u is the top row: u itself when u is looped, else its
+            # highest neighbour v, gives X = {u} or {u, v}.
+            part = 1 << u | 1 << (graph >> un).bit_length() - 1
+            for child in (graph & cut, _packed_pivot(graph, part, n, base, cut)):
+                k = -(-child.bit_length() // n)
+                level = levels[k]
+                w = weight << (u - k) * width
+                old = level.get(child)
+                if old is None:
+                    level[child] = w
+                    room -= k
+                else:
+                    level[child] = old + w
+    t, mask = levels[0][0], (1 << width) - 1
+    return Poly.of([t >> width * j & mask for j in range(n + 1)])
+
+
+def _row_recursion(graph: tuple[int, ...]) -> Poly:
+    """The level loop of :func:`interlace_recursive` on row tuples, with
+    weights as coefficient tuples."""
+    levels: list[dict[tuple[int, ...], tuple[int, ...]]] = [{} for _ in range(len(graph) + 1)]
+    room = RECURSION_MEMO_CAP - _reach(levels, graph, (1,))
+    for u in range(len(graph) - 1, -1, -1):
         low = (1 << u) - 1
         # The levels above u + 1 are popped already, so this is levels[u + 1].
         for rows, weight in levels.pop().items():
             # Every new entry is expanded later, so checking here misses none.
             if room < 0:
-                raise ValueError(
-                    f"deletion recursion exceeds the memo cap of {RECURSION_MEMO_CAP} rows"
-                )
+                raise _memo_cap_error()
             room -= _reach(levels, tuple([r & low for r in rows[:u]]), weight)
             # The top bit of u's row is u itself when u is looped, else its
             # highest neighbour v: X = {u} or {u, v}.

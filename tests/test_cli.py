@@ -580,11 +580,12 @@ def test_verify_catches_pivot_rows_that_return_the_input_rows(prop, field, monke
 
 
 def test_verify_catches_a_graph_pivot_that_only_deletes(monkeypatch, capsys):
-    # The recursion's kernel builds G*X - u; this one builds G - u.
-    def delete_only(rows, part, keep):
-        return tuple(r & ((1 << keep) - 1) for r in rows[:keep])
+    # The recursion's kernel builds G*X - u; this one builds G - u.  The
+    # verify graphs are small, so the recursion runs on packed ints.
+    def delete_only(graph, part, n, base, cut):
+        return graph & cut
 
-    monkeypatch.setattr(interlace, "_elementary_pivot_rows", delete_only)
+    monkeypatch.setattr(interlace, "_packed_pivot", delete_only)
     code, passed, trials = _verify_counts("recursion", capsys, GF2)
     assert code == 1 and passed < trials == 20
 

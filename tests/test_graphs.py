@@ -203,6 +203,30 @@ def test_pivot_kernel_matches_the_matrix_pivot_on_one_or_two_vertices():
     assert one_looped_end > 100
 
 
+def test_packed_pivot_matches_the_row_kernel_at_every_cut():
+    # The recursion's kernel on one int, row x at bits x·n; ``cut`` keeps
+    # the first ``keep`` rows and columns, as ``keep`` does for row tuples.
+    rng = random.Random(42)
+    one_looped_end = 0
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        rows = random_graph(rng, n).rows
+        base = sum(1 << x * n for x in range(n))
+        graph = sum(r << x * n for x, r in enumerate(rows))
+        for i in range(n):
+            for j in range(i, n):
+                part = 1 << i | 1 << j
+                if not rows[i] >> j & 1 or f2_pivot_rows(rows, part) is None:
+                    continue
+                one_looped_end += i != j and rows[i] >> i & 1 != rows[j] >> j & 1
+                for keep in range(n + 1):
+                    cut = (base & (1 << keep * n) - 1) * ((1 << keep) - 1)
+                    want = graphs_module._elementary_pivot_rows(rows, part, keep)
+                    got = graphs_module._packed_pivot(graph, part, n, base, cut)
+                    assert got == sum(r << x * n for x, r in enumerate(want)), (rows, part, keep)
+    assert one_looped_end > 100
+
+
 # --- decomposition --------------------------------------------------------------------
 
 def test_decomposition_of_single_loop():

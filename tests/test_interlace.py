@@ -207,17 +207,18 @@ def test_recursion_memo_solves_long_paths(monkeypatch):
     # Without a memo the recursion on P_n makes Fibonacci-many kernel calls;
     # with one it makes n - 1, so P_60 stays under the budget.  Equal
     # counts on a repeated call show the memo does not outlive a call.
+    # Paths up to 60 vertices run on packed ints, so the packed kernel counts.
     budget = 1000
     calls = [0]
-    real = interlace_module._elementary_pivot_rows
+    real = interlace_module._packed_pivot
 
-    def counting(rows, part, keep=None):
+    def counting(graph, part, n, base, cut):
         calls[0] += 1
         if calls[0] > budget:
             raise AssertionError(f"more than {budget} elementary pivots in one call")
-        return real(rows, part, keep)
+        return real(graph, part, n, base, cut)
 
-    monkeypatch.setattr(interlace_module, "_elementary_pivot_rows", counting)
+    monkeypatch.setattr(interlace_module, "_packed_pivot", counting)
     for n, q in enumerate(path_polynomials(61)):
         calls[0] = 0
         assert interlace_recursive(path_graph(n)) == q
@@ -225,6 +226,29 @@ def test_recursion_memo_solves_long_paths(monkeypatch):
     calls[0] = 0
     interlace_recursive(path_graph(60))
     assert calls[0] == first > 0
+
+
+def test_recursion_on_row_tuples_pivots_once_per_path_vertex(monkeypatch):
+    # Past the packed bound the recursion keys subgraphs as row tuples and
+    # calls the row kernel, n - 1 times on P_n as on the packed side.
+    calls = [0]
+    real = interlace_module._elementary_pivot_rows
+
+    def counting(rows, part, keep=None):
+        calls[0] += 1
+        return real(rows, part, keep)
+
+    def packed(*args):
+        raise AssertionError("the packed kernel ran past the packed bound")
+
+    monkeypatch.setattr(interlace_module, "_elementary_pivot_rows", counting)
+    monkeypatch.setattr(interlace_module, "_packed_pivot", packed)
+    bound = interlace_module._PACKED_RECURSION_VERTICES
+    for n, q in enumerate(path_polynomials(101)):
+        if n > bound:
+            calls[0] = 0
+            assert interlace_recursive(path_graph(n)) == q
+            assert calls[0] == n - 1
 
 
 def test_recursion_memo_cap(monkeypatch):
@@ -345,18 +369,24 @@ def test_recursion_on_a_looped_last_vertex():
         assert interlace_recursive(G) == interlace_polynomial(G)
 
 
+def unpack_graph(graph, n):
+    """The rows of a graph packed at stride n, up to its last nonzero row."""
+    return tuple(graph >> x * n & (1 << n) - 1 for x in range(-(-graph.bit_length() // n)))
+
+
 def test_recursion_pivots_once_per_frame_with_u_deleted(monkeypatch):
     # On a path with loops on its even vertices, every loopless u has a
     # looped highest neighbour v; X = {u, v} is still one kernel call, which
-    # builds G*X - u directly.
+    # builds G*X - u directly.  The graph has 12 vertices, so the calls are
+    # to the packed kernel; ``cut`` keeps ``keep`` rows and columns.
     calls = []
-    real = interlace_module._elementary_pivot_rows
+    real = interlace_module._packed_pivot
 
-    def recording(rows, part, keep=None):
-        calls.append((rows, part, keep))
-        return real(rows, part, keep)
+    def recording(graph, part, n, base, cut):
+        calls.append((unpack_graph(graph, n), part, (cut & (1 << n) - 1).bit_length()))
+        return real(graph, part, n, base, cut)
 
-    monkeypatch.setattr(interlace_module, "_elementary_pivot_rows", recording)
+    monkeypatch.setattr(interlace_module, "_packed_pivot", recording)
     labels = [f"v{i:02d}" for i in range(12)]
     G = graph_from_edges(
         labels, [(a, b) for a, b in zip(labels, labels[1:])] + [(v, v) for v in labels[::2]]
@@ -400,6 +430,51 @@ def test_recursion_finishes_a_long_matching_and_a_large_discrete_graph():
         assert interlace_recursive(graph_from_edges(labels, edges)) == Poly.monomial(600, 2**600)
     discrete = Matrix.zeros(GF2, [f"v{i:04d}" for i in range(2000)])
     assert interlace_recursive(discrete) == Poly.monomial(2000)
+
+
+def test_recursion_weights_hold_a_coefficient_of_two_to_the_n():
+    # n isolated looped vertices give q = 2^n, the largest coefficient any
+    # graph on n vertices has; it needs all n + 1 bits of a packed weight.
+    for n in range(66):
+        labels = [f"v{i:02d}" for i in range(n)]
+        G = graph_from_edges(labels, [(v, v) for v in labels])
+        assert interlace_recursive(G) == Poly.of([2**n])
+
+
+def test_recursion_on_disjoint_unions_near_the_packed_bound():
+    # q is multiplicative over disjoint unions.  Each component sits on a
+    # contiguous block of labels, so the subgraphs reached hold several
+    # components at once, packed at the stride of the whole graph.
+    rng = random.Random(77)
+    seen = set()
+    for _ in range(12):
+        parts, edges, q, n = [], [], Poly.of([1]), 0
+        while n < 60:
+            H = random_graph(rng, rng.randint(4, 9))
+            edges += [
+                (f"v{n + i:02d}", f"v{n + j:02d}")
+                for i in range(H.n)
+                for j in range(i, H.n)
+                if H.rows[i] >> j & 1
+            ]
+            q = q * interlace_polynomial(H)
+            parts.append(H.n)
+            n += H.n
+        seen.add(n)
+        G = graph_from_edges([f"v{i:02d}" for i in range(n)], edges)
+        assert interlace_recursive(G) == q, parts
+    assert min(seen) <= interlace_module._PACKED_RECURSION_VERTICES < max(seen)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_recursion_memo_cap_is_exact_on_either_side_of_the_packed_bound(n, monkeypatch):
+    # The memo of P_n holds P_2 .. P_n, n(n + 1)/2 - 1 rows in all.
+    total = n * (n + 1) // 2 - 1
+    monkeypatch.setattr(interlace_module, "RECURSION_MEMO_CAP", total)
+    assert interlace_recursive(path_graph(n)) == path_polynomials(n + 1)[n]
+    monkeypatch.setattr(interlace_module, "RECURSION_MEMO_CAP", total - 1)
+    with pytest.raises(ValueError, match=f"memo cap of {total - 1} rows"):
+        interlace_recursive(path_graph(n))
 
 
 def test_recursion_rejects_non_graphs():
