@@ -10,8 +10,8 @@ Matrix files:
 GF(2) entries are 0 or 1; rational entries are integers or p/q fractions.
 Graph files start with the word ``graph``, then a label line, then one
 ``u v`` line per edge (``u u`` for a loop).  All output is emitted in
-sorted-label order.  Files describe at least one label; the degenerate
-empty matrix exists only in memory.
+sorted-label order.  Files describe at least one label, so the writers
+reject the degenerate empty matrix, which exists only in memory.
 """
 
 from __future__ import annotations
@@ -91,6 +91,8 @@ def parse_matrix(text: str) -> Matrix:
 
 
 def format_matrix(A: Matrix) -> str:
+    if not A.n:
+        raise ValueError("files describe at least one label; this matrix has none")
     lines = [f"field {A.field}", " ".join(A.domain)]
     lines += [" ".join(map(str, row)) for row in A.to_entries()]
     return "\n".join(lines) + "\n"
@@ -124,6 +126,8 @@ def format_graph(G: Matrix) -> str:
     from .graphs import require_graph
 
     require_graph(G)
+    if not G.n:
+        raise ValueError("files describe at least one label; this graph has none")
     return next(_graph_blocks(G.domain, (G.rows,)))
 
 

@@ -2,8 +2,10 @@
 
 Pivots on graphs decompose into two elementary moves: local complementation
 at a looped vertex and edge complementation on an edge between loopless
-vertices.  Both are implemented directly as row-mask updates and agree
-entrywise with the matrix pivot on the same subset.
+vertices.  Both run through one row-mask kernel, :func:`_elementary_pivot_rows`,
+which agrees entrywise with the matrix pivot on the same subset; the same
+rule on graphs packed into one int, ``_packed_pivot``, lives with the deletion
+recursion in :mod:`pivotpoly.interlace`.
 """
 
 from __future__ import annotations
@@ -116,67 +118,38 @@ def edge_complement(G: Matrix, u: str, v: str) -> Matrix:
 def _elementary_pivot_rows(
     rows: tuple[int, ...], part: int, keep: int | None = None
 ) -> tuple[int, ...]:
-    """G*X on packed graph rows for X a looped vertex or an edge with at most
-    one looped end: every vertex of a class toggles its adjacencies to the
-    class's partners, read off G[X]^-1 = [[b,1],[1,a]] for G[X] = [[a,1],[1,b]]
-    with the rows of X taken with their own loop bits flipped.
+    """G*X on packed graph rows for X = {i} a looped vertex or X = {i, j} an
+    edge with at most one looped end; :func:`pivotpoly.interlace._packed_pivot`
+    applies the same rule to a graph packed into one int.
+
+    With N(x) the row of x with its own loop bit flipped and
+    G[X]^-1 = [[b,1],[1,a]] for G[X] = [[a,1],[1,b]], each vertex of N(i)
+    toggles its adjacencies to the partner row to_i = N(j) + b·N(i) and each
+    vertex of N(j) to to_j = N(i) + a·N(j), so a vertex of both gets
+    to_i + to_j.  For X = {i} the partner row of N(i) is N(i).
 
     With ``keep`` given, only the rows and columns of the first ``keep``
     vertices are built: G*X with every later vertex deleted.
     """
     i = (part & -part).bit_length() - 1
     j = part.bit_length() - 1
-    n_i = rows[i] ^ (1 << i)
-    if i == j:
-        classes = ((n_i, n_i),)
-    else:
-        n_j = rows[j] ^ (1 << j)
-        a, b = rows[i] >> i & 1, rows[j] >> j & 1
-        classes = (
-            (n_i & ~n_j, n_j ^ n_i if b else n_j),
-            (n_j & ~n_i, n_i ^ n_j if a else n_i),
-            (n_i & n_j, n_j if b else n_i if a else n_i ^ n_j),
-        )
+    n_i, n_j = rows[i] ^ 1 << i, rows[j] ^ 1 << j
+    to_i = n_j ^ n_i if rows[j] >> j & 1 else n_j
+    to_j = n_i ^ n_j if rows[i] >> i & 1 else n_i
+    partners = ((n_i, n_i),) if i == j else ((n_i, to_i), (n_j, to_j))
     if keep is None:
         out, low = list(rows), -1
     else:
         low = (1 << keep) - 1
         out = [r & low for r in rows[:keep]]
-    for cls, others in classes:
-        m = cls & low
-        others &= low
+    for members, to in partners:
+        m = members & low
+        to &= low
         while m:
-            x = (m & -m).bit_length() - 1
-            out[x] ^= others
-            m &= m - 1
+            x = m.bit_length() - 1
+            out[x] ^= to
+            m ^= 1 << x
     return tuple(out)
-
-
-def _packed_pivot(graph: int, part: int, n: int, base: int, cut: int) -> int:
-    """:func:`_elementary_pivot_rows` on a graph packed into one int, row x
-    at bits x·n, with everything outside ``cut`` deleted.
-
-    With N(x) the row of x with its own loop bit flipped, as there: ``base``
-    has bit x·n set for every row x, so ``graph >> i & base`` is column i
-    spread to row positions, and spread(N(i)) is that column with bit i·n
-    flipped.  One multiply adds a row to every row of a spread mask, and
-    the three classes take two: each vertex of N(i) gets N(j), plus N(i)
-    when j is looped, and each vertex of N(j) gets N(i), plus N(j) when i
-    is looped, so a vertex of both gets the sum, its class's partners.
-    """
-    i = (part & -part).bit_length() - 1
-    j = part.bit_length() - 1
-    low = (1 << n) - 1
-    r_i = graph >> i * n & low
-    s_i = (graph >> i & base) ^ 1 << i * n
-    if i == j:
-        return (graph ^ s_i * (r_i ^ 1 << i)) & cut
-    r_j = graph >> j * n & low
-    s_j = (graph >> j & base) ^ 1 << j * n
-    n_i, n_j = r_i ^ 1 << i, r_j ^ 1 << j
-    to_i = n_j ^ n_i if r_j >> j & 1 else n_j
-    to_j = n_i ^ n_j if r_i >> i & 1 else n_i
-    return (graph ^ s_i * to_i ^ s_j * to_j) & cut
 
 
 def _elementary_parts(rows: tuple[int, ...], within: int):

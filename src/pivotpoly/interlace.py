@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from operator import add
 
-from .graphs import _elementary_pivot_rows, _packed_pivot, require_graph
+from .graphs import _elementary_pivot_rows, require_graph
 from .matrix import Matrix, _Value
 
 __all__ = [
@@ -157,10 +157,10 @@ def interlace_recursive(G: Matrix) -> Poly:
     with G[X] nonsingular, q(G) = q(G - u) + q(G*X - u), and X is chosen as
     follows: {u} if u is looped, else {u, v} for the highest neighbour v of
     u.  G[{u, v}] is nonsingular whether or not v is looped, and G*X - u is
-    one call of the graph-pivot kernel either way.  A trailing run of isolated
-    loopless vertices contributes y each and is stripped, so a discrete graph
-    on n vertices gives y^n at once.  Deleting the last vertex drops the last
-    row and column, so every subgraph reached lives on a prefix of the labels.
+    one kernel call either way.  A trailing run of isolated loopless
+    vertices contributes y each and is stripped, so a discrete graph on n
+    vertices gives y^n at once.  Deleting the last vertex drops the last row
+    and column, so every subgraph reached lives on a prefix of the labels.
 
     The recursion runs as one pass over subgraph sizes, largest first, with
     no Python recursion: ``levels[k]`` maps each distinct stripped subgraph
@@ -177,18 +177,21 @@ def interlace_recursive(G: Matrix) -> Poly:
 
     Subgraphs are keyed in one of two formats, chosen by the vertex count n
     of G.  Up to ``_PACKED_RECURSION_VERTICES`` = 64 vertices a subgraph is
-    one int, row x at bits x·n, and its weight one int, W = n + 1 bits a
-    power of y (:func:`_packed_recursion`).  Past that a subgraph is its
-    tuple of rows and its weight a tuple of coefficients
-    (:func:`_row_recursion`).  Every step on a packed key runs over k·n
-    bits, so it wins on the dense graphs that finish under the cap, which
-    have few vertices, and loses on long sparse ones, the only graphs past
-    64 vertices that finish: forcing packed keys took a discrete graph on
-    96 / 160 vertices 1.05× / 1.5× and a 200-vertex path 1.1-1.2× the row
-    tuples' time, where 64-vertex paths, matchings and discrete graphs were
-    no slower.  W bits suffice: the terms are nonnegative and q(G) is the
-    sum of w_H q(H) over any level, so each coefficient of a weight w_H is
-    at most one of q(G), at most q(G)(1) <= q(G)(2) = 2^n < 2^W.
+    one int, row x at bits x·n, its weight one int, W = n + 1 bits a power
+    of y, and its kernel :func:`_packed_pivot` (:func:`_packed_recursion`).
+    Past that a subgraph is its tuple of rows, its weight a tuple of
+    coefficients and its kernel :func:`pivotpoly.graphs._elementary_pivot_rows`
+    (:func:`_row_recursion`), which states the rule both kernels follow:
+    two partner rows, one for N(u) and one for N(v).  Every step on a packed
+    key runs over k·n bits, so it wins on the dense graphs that finish under
+    the cap, which have few vertices, and loses on long sparse ones, the
+    only graphs past 64 vertices that finish: forcing packed keys took a
+    discrete graph on 96 / 160 vertices 1.05× / 1.5× and a 200-vertex path
+    1.1-1.2× the row tuples' time, where 64-vertex paths, matchings and
+    discrete graphs were no slower.  W bits suffice: the terms are
+    nonnegative and q(G) is the sum of w_H q(H) over any level, so each
+    coefficient of a weight w_H is at most one of q(G), at most
+    q(G)(1) <= q(G)(2) = 2^n < 2^W.
     """
     require_graph(G)
     if G.n > _PACKED_RECURSION_VERTICES:
@@ -204,6 +207,30 @@ def _memo_cap_error() -> ValueError:
     return ValueError(
         f"deletion recursion exceeds the memo cap of {RECURSION_MEMO_CAP} rows"
     )
+
+
+def _packed_pivot(graph: int, part: int, n: int, base: int, cut: int) -> int:
+    """:func:`pivotpoly.graphs._elementary_pivot_rows` on a graph packed into
+    one int, row x at bits x·n, with everything outside ``cut`` deleted.
+
+    ``base`` has bit x·n set for every row x, so ``graph >> i & base`` is
+    column i spread to row positions, and spread(N(i)) is that column with
+    bit i·n flipped.  One multiply adds a partner row to every row of a
+    spread mask, so the rule's two partner rows, to_i and to_j, take two.
+    """
+    i = (part & -part).bit_length() - 1
+    j = part.bit_length() - 1
+    low = (1 << n) - 1
+    r_i = graph >> i * n & low
+    s_i = (graph >> i & base) ^ 1 << i * n
+    if i == j:
+        return (graph ^ s_i * (r_i ^ 1 << i)) & cut
+    r_j = graph >> j * n & low
+    s_j = (graph >> j & base) ^ 1 << j * n
+    n_i, n_j = r_i ^ 1 << i, r_j ^ 1 << j
+    to_i = n_j ^ n_i if r_j >> j & 1 else n_j
+    to_j = n_i ^ n_j if r_i >> i & 1 else n_i
+    return (graph ^ s_i * to_i ^ s_j * to_j) & cut
 
 
 def _packed_recursion(rows: tuple[int, ...]) -> Poly:
@@ -246,45 +273,36 @@ def _packed_recursion(rows: tuple[int, ...]) -> Poly:
     return Poly.of([t >> width * j & mask for j in range(n + 1)])
 
 
-def _row_recursion(graph: tuple[int, ...]) -> Poly:
-    """The level loop of :func:`interlace_recursive` on row tuples, with
-    weights as coefficient tuples."""
-    levels: list[dict[tuple[int, ...], tuple[int, ...]]] = [{} for _ in range(len(graph) + 1)]
-    room = RECURSION_MEMO_CAP - _reach(levels, graph, (1,))
-    for u in range(len(graph) - 1, -1, -1):
+def _row_recursion(rows: tuple[int, ...]) -> Poly:
+    """:func:`_packed_recursion` on row tuples: a subgraph on k vertices is
+    its first k rows, and its weight a coefficient tuple, which stripping j
+    vertices pads with j leading zeros."""
+    n = k = len(rows)
+    while k and not rows[k - 1]:
+        k -= 1
+    levels: list[dict[tuple[int, ...], tuple[int, ...]]] = [{} for _ in range(k + 1)]
+    levels[k][rows[:k]] = (0,) * (n - k) + (1,)
+    room = RECURSION_MEMO_CAP - k
+    for u in range(k - 1, -1, -1):
         low = (1 << u) - 1
-        # The levels above u + 1 are popped already, so this is levels[u + 1].
-        for rows, weight in levels.pop().items():
+        for graph, weight in levels.pop().items():
             # Every new entry is expanded later, so checking here misses none.
             if room < 0:
                 raise _memo_cap_error()
-            room -= _reach(levels, tuple([r & low for r in rows[:u]]), weight)
             # The top bit of u's row is u itself when u is looped, else its
             # highest neighbour v: X = {u} or {u, v}.
-            part = 1 << u | 1 << (rows[u].bit_length() - 1)
-            room -= _reach(levels, _elementary_pivot_rows(rows, part, u), weight)
+            part = 1 << u | 1 << graph[u].bit_length() - 1
+            deleted = tuple([r & low for r in graph[:u]])
+            for child in (deleted, _elementary_pivot_rows(graph, part, u)):
+                k = u
+                while k and not child[k - 1]:
+                    k -= 1
+                child, w = child[:k], (0,) * (u - k) + weight
+                level = levels[k]
+                old = level.get(child)
+                if old is None:
+                    level[child] = w
+                    room -= k
+                else:
+                    level[child] = tuple(map(add, old, w)) + old[len(w) :] + w[len(old) :]
     return Poly.of(levels[0][()])
-
-
-def _reach(
-    levels: list[dict[tuple[int, ...], tuple[int, ...]]],
-    rows: tuple[int, ...],
-    weight: tuple[int, ...],
-) -> int:
-    """Add y^j * ``weight`` to the level of ``rows`` stripped of its j
-    trailing isolated loopless vertices; return the rows of a new entry."""
-    k = len(rows)
-    while k and not rows[k - 1]:
-        k -= 1
-    if k < len(rows):
-        weight = (0,) * (len(rows) - k) + weight
-        rows = rows[:k]
-    level = levels[k]
-    old = level.get(rows)
-    if old is None:
-        level[rows] = weight
-        return k
-    if len(old) < len(weight):
-        old, weight = weight, old
-    level[rows] = tuple(map(add, old, weight)) + old[len(weight) :]
-    return 0

@@ -102,6 +102,16 @@ def test_matrix_round_trip_with_fractions():
         assert parse_matrix(f"field q\na\n{tok}\n").entry("a", "a") == Fraction(tok)
 
 
+@pytest.mark.parametrize("field", [GF2, RATIONAL])
+def test_format_matrix_rejects_a_matrix_with_no_labels(field):
+    # A file describes at least one label, and the label-less text the
+    # writer would give does not parse back.
+    with pytest.raises(FormatError, match="missing label line"):
+        parse_matrix(f"field {field}\n\n")
+    with pytest.raises(ValueError, match="at least one label"):
+        format_matrix(Matrix.zeros(field, []))
+
+
 def test_matrix_parse_respects_given_label_order():
     # rows follow the label line as written; the matrix is then stored sorted
     A = parse_matrix("field q\nb a\n1 2\n3 4\n")
@@ -132,6 +142,13 @@ def test_graph_format_round_trip_random():
     for _ in range(30):
         G = random_graph(rng, rng.randint(1, 7))
         assert parse_graph(format_graph(G)) == G
+
+
+def test_format_graph_rejects_a_graph_with_no_labels():
+    with pytest.raises(FormatError, match="missing label line"):
+        parse_graph("graph\n\n")
+    with pytest.raises(ValueError, match="at least one label"):
+        format_graph(Matrix.zeros(GF2, []))
 
 
 @pytest.mark.parametrize(

@@ -222,7 +222,7 @@ def test_packed_pivot_matches_the_row_kernel_at_every_cut():
                 for keep in range(n + 1):
                     cut = (base & (1 << keep * n) - 1) * ((1 << keep) - 1)
                     want = graphs_module._elementary_pivot_rows(rows, part, keep)
-                    got = graphs_module._packed_pivot(graph, part, n, base, cut)
+                    got = interlace_module._packed_pivot(graph, part, n, base, cut)
                     assert got == sum(r << x * n for x, r in enumerate(want)), (rows, part, keep)
     assert one_looped_end > 100
 

@@ -259,9 +259,13 @@ def test_recursion_memo_cap(monkeypatch):
         interlace_recursive(path_graph(16))
 
 
-def test_recursion_memo_cap_counts_each_distinct_subgraph_once(monkeypatch):
+@pytest.mark.parametrize("loop", ["packed", "rows"])
+def test_recursion_memo_cap_counts_each_distinct_subgraph_once(loop, monkeypatch):
     # The cap is reached exactly when the rows of the distinct stripped
-    # subgraphs reached exceed it, whatever order they are reached in.
+    # subgraphs reached exceed it, whatever order they are reached in.  A
+    # packed bound of 0 sends these small graphs through the row-tuple loop.
+    if loop == "rows":
+        monkeypatch.setattr(interlace_module, "_PACKED_RECURSION_VERTICES", 0)
     rng = random.Random(75)
     for _ in range(50):
         G = random_graph(rng, rng.randint(1, 9))
@@ -321,7 +325,10 @@ def test_recursion_leaves_no_reference_cycle(monkeypatch):
 
 def test_recursion_matches_the_path_recurrence_up_to_200_vertices():
     for n, q in enumerate(path_polynomials(201)):
-        assert interlace_recursive(path_graph(n)) == q
+        G = path_graph(n)
+        for i, row in enumerate(G.rows):
+            assert row == sum(1 << j for j in (i - 1, i + 1) if 0 <= j < n), (n, i)
+        assert interlace_recursive(G) == q
 
 
 def graph_on_rows(rows):
