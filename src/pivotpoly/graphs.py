@@ -115,9 +115,7 @@ def edge_complement(G: Matrix, u: str, v: str) -> Matrix:
     return Matrix(GF2, G.domain, _elementary_pivot_rows(G.rows, (1 << i) | (1 << j)))
 
 
-def _elementary_pivot_rows(
-    rows: tuple[int, ...], part: int, keep: int | None = None
-) -> tuple[int, ...]:
+def _elementary_pivot_rows(rows: tuple[int, ...], part: int) -> tuple[int, ...]:
     """G*X on packed graph rows for X = {i} a looped vertex or X = {i, j} an
     edge with at most one looped end; :func:`pivotpoly.interlace._packed_pivot`
     applies the same rule to a graph packed into one int.
@@ -127,24 +125,14 @@ def _elementary_pivot_rows(
     toggles its adjacencies to the partner row to_i = N(j) + b·N(i) and each
     vertex of N(j) to to_j = N(i) + a·N(j), so a vertex of both gets
     to_i + to_j.  For X = {i} the partner row of N(i) is N(i).
-
-    With ``keep`` given, only the rows and columns of the first ``keep``
-    vertices are built: G*X with every later vertex deleted.
     """
     i = (part & -part).bit_length() - 1
     j = part.bit_length() - 1
     n_i, n_j = rows[i] ^ 1 << i, rows[j] ^ 1 << j
     to_i = n_j ^ n_i if rows[j] >> j & 1 else n_j
     to_j = n_i ^ n_j if rows[i] >> i & 1 else n_i
-    partners = ((n_i, n_i),) if i == j else ((n_i, to_i), (n_j, to_j))
-    if keep is None:
-        out, low = list(rows), -1
-    else:
-        low = (1 << keep) - 1
-        out = [r & low for r in rows[:keep]]
-    for members, to in partners:
-        m = members & low
-        to &= low
+    out = list(rows)
+    for m, to in ((n_i, n_i),) if i == j else ((n_i, to_i), (n_j, to_j)):
         while m:
             x = m.bit_length() - 1
             out[x] ^= to

@@ -156,11 +156,13 @@ def interlace_recursive(G: Matrix) -> Poly:
     The recursion always removes the last vertex u.  For any X that holds u
     with G[X] nonsingular, q(G) = q(G - u) + q(G*X - u), and X is chosen as
     follows: {u} if u is looped, else {u, v} for the highest neighbour v of
-    u.  G[{u, v}] is nonsingular whether or not v is looped, and G*X - u is
-    one kernel call either way.  A trailing run of isolated loopless
-    vertices contributes y each and is stripped, so a discrete graph on n
-    vertices gives y^n at once.  Deleting the last vertex drops the last row
-    and column, so every subgraph reached lives on a prefix of the labels.
+    u.  G[{u, v}] is nonsingular whether or not v is looped, so G*X is one
+    kernel call either way.  The kernels compute G*X and nothing else; the
+    loop deletes u from both children, G and G*X, in one place.  Deleting
+    the last vertex drops the last row and column, so every subgraph reached
+    lives on a prefix of the labels.  A trailing run of isolated loopless
+    vertices contributes y each and is stripped from each child after the
+    deletion, so a discrete graph on n vertices gives y^n at once.
 
     The recursion runs as one pass over subgraph sizes, largest first, with
     no Python recursion: ``levels[k]`` maps each distinct stripped subgraph
@@ -209,9 +211,9 @@ def _memo_cap_error() -> ValueError:
     )
 
 
-def _packed_pivot(graph: int, part: int, n: int, base: int, cut: int) -> int:
+def _packed_pivot(graph: int, part: int, n: int, base: int) -> int:
     """:func:`pivotpoly.graphs._elementary_pivot_rows` on a graph packed into
-    one int, row x at bits x·n, with everything outside ``cut`` deleted.
+    one int, row x at bits x·n: G*X on every row, deleting nothing.
 
     ``base`` has bit x·n set for every row x, so ``graph >> i & base`` is
     column i spread to row positions, and spread(N(i)) is that column with
@@ -224,23 +226,23 @@ def _packed_pivot(graph: int, part: int, n: int, base: int, cut: int) -> int:
     r_i = graph >> i * n & low
     s_i = (graph >> i & base) ^ 1 << i * n
     if i == j:
-        return (graph ^ s_i * (r_i ^ 1 << i)) & cut
+        return graph ^ s_i * (r_i ^ 1 << i)
     r_j = graph >> j * n & low
     s_j = (graph >> j & base) ^ 1 << j * n
     n_i, n_j = r_i ^ 1 << i, r_j ^ 1 << j
     to_i = n_j ^ n_i if r_j >> j & 1 else n_j
     to_j = n_i ^ n_j if r_i >> i & 1 else n_i
-    return (graph ^ s_i * to_i ^ s_j * to_j) & cut
+    return graph ^ s_i * to_i ^ s_j * to_j
 
 
 def _packed_recursion(rows: tuple[int, ...]) -> Poly:
     """The level loop of :func:`interlace_recursive` on packed ints.
 
     A subgraph on k vertices is one int with row x at bits x·n, n the size
-    of the input graph, so deleting u is one AND with ``cut``, which keeps
-    the rows and columns below u, and stripping trailing isolated vertices
-    is reading k = ceil(bit_length / n).  Merging two weights is ``+``, and
-    stripping j vertices is ``<< j·W``.
+    of the input graph.  Both children, G and the kernel's G*X, lose u by
+    one AND with ``cut``, which keeps the rows and columns below u, and
+    stripping trailing isolated vertices is reading k = ceil(bit_length / n).
+    Merging two weights is ``+``, and stripping j vertices is ``<< j·W``.
     """
     n = len(rows)
     width = n + 1
@@ -259,7 +261,8 @@ def _packed_recursion(rows: tuple[int, ...]) -> Poly:
             # Row u is the top row: u itself when u is looped, else its
             # highest neighbour v, gives X = {u} or {u, v}.
             part = 1 << u | 1 << (graph >> un).bit_length() - 1
-            for child in (graph & cut, _packed_pivot(graph, part, n, base, cut)):
+            for child in (graph, _packed_pivot(graph, part, n, base)):
+                child &= cut
                 k = -(-child.bit_length() // n)
                 level = levels[k]
                 w = weight << (u - k) * width
@@ -276,7 +279,9 @@ def _packed_recursion(rows: tuple[int, ...]) -> Poly:
 def _row_recursion(rows: tuple[int, ...]) -> Poly:
     """:func:`_packed_recursion` on row tuples: a subgraph on k vertices is
     its first k rows, and its weight a coefficient tuple, which stripping j
-    vertices pads with j leading zeros."""
+    vertices pads with j leading zeros.  Both children, G and the kernel's
+    G*X on all u + 1 rows, lose u by masking their rows with ``low``: the
+    strip reads the masked rows, and the key keeps the first k of them."""
     n = k = len(rows)
     while k and not rows[k - 1]:
         k -= 1
@@ -292,12 +297,11 @@ def _row_recursion(rows: tuple[int, ...]) -> Poly:
             # The top bit of u's row is u itself when u is looped, else its
             # highest neighbour v: X = {u} or {u, v}.
             part = 1 << u | 1 << graph[u].bit_length() - 1
-            deleted = tuple([r & low for r in graph[:u]])
-            for child in (deleted, _elementary_pivot_rows(graph, part, u)):
+            for child in (graph, _elementary_pivot_rows(graph, part)):
                 k = u
-                while k and not child[k - 1]:
+                while k and not child[k - 1] & low:
                     k -= 1
-                child, w = child[:k], (0,) * (u - k) + weight
+                child, w = tuple([r & low for r in child[:k]]), (0,) * (u - k) + weight
                 level = levels[k]
                 old = level.get(child)
                 if old is None:

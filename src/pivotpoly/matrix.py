@@ -211,8 +211,9 @@ class SubsetMask(_Value):
         return "{" + ",".join(self.labels()) + "}"
 
 
-# Value types beside SubsetMask, so that graphs and formats can name them
-# without loading the sweeps in setsystems.
+# Value types beside SubsetMask: formats names PartitionSequence, and the
+# commands that read files (pivot, nullity, orbit) load formats but not
+# setsystems.
 class SetSystem(_Value):
     """A family of subsets of a common domain, stored as bitmasks."""
 

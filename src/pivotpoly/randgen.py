@@ -4,8 +4,9 @@ The verification suites and the CLI share these generators so a seed pins
 the exact instances.  Conventions: matrix entries are drawn row-major; a
 GF(2) entry is ``rng.randint(0, 1)``, a rational entry is ``rng.randint(-3, 3)``;
 graphs draw one bit per unordered pair (i <= j) in row-major order and
-mirror it.  Labels are v00, v01, ... so lexicographic order matches index
-order; strings use letters a, b, c, ...
+mirror it.  Labels are v00, v01, ..., padded to the width of n - 1 (at
+least 2 digits: v000 ... v100 for 101 labels), so lexicographic order
+matches index order; strings use letters a, b, c, ...
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ __all__ = [
 
 
 def labels_for(n: int) -> tuple[str, ...]:
-    return tuple(f"v{i:02d}" for i in range(n))
+    width = max(2, len(str(n - 1)))
+    return tuple(f"v{i:0{width}d}" for i in range(n))
 
 
 # The entry range of each field.  randint(0, 1) makes the one _randbelow(2)

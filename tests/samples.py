@@ -95,10 +95,8 @@ def loopless(G: Matrix) -> Matrix:
 
 
 def path_graph(n: int) -> Matrix:
-    """The loopless path v00 - v01 - ... on n vertices, its labels padded to
-    the width of n - 1 (at least 2) so that they sort in index order."""
-    width = max(2, len(str(n - 1)))
-    labels = [f"v{i:0{width}d}" for i in range(n)]
+    """The loopless path on the labels of ``labels_for(n)``, in order."""
+    labels = labels_for(n)
     return graph_from_edges(labels, list(zip(labels, labels[1:])))
 
 

@@ -597,10 +597,11 @@ def test_verify_catches_pivot_rows_that_return_the_input_rows(prop, field, monke
 
 
 def test_verify_catches_a_graph_pivot_that_only_deletes(monkeypatch, capsys):
-    # The recursion's kernel builds G*X - u; this one builds G - u.  The
-    # verify graphs are small, so the recursion runs on packed ints.
-    def delete_only(graph, part, n, base, cut):
-        return graph & cut
+    # The recursion's kernel builds G*X; this one returns G, so both
+    # children are G - u.  The verify graphs are small, so the recursion
+    # runs on packed ints.
+    def delete_only(graph, part, n, base):
+        return graph
 
     monkeypatch.setattr(interlace, "_packed_pivot", delete_only)
     code, passed, trials = _verify_counts("recursion", capsys, GF2)

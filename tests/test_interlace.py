@@ -28,7 +28,8 @@ from pivotpoly import (
     principal_submatrix,
     set_system_of,
 )
-from pivotpoly.randgen import random_graph, random_matrix, random_valid_pivot_subset
+from pivotpoly.matrix import f2_pivot_rows
+from pivotpoly.randgen import labels_for, random_graph, random_matrix, random_valid_pivot_subset
 
 from oracles import recursion_memo_rows
 from samples import all_graphs, path_graph, pivot_pair_left, sample_rational_matrix
@@ -212,11 +213,11 @@ def test_recursion_memo_solves_long_paths(monkeypatch):
     calls = [0]
     real = interlace_module._packed_pivot
 
-    def counting(graph, part, n, base, cut):
+    def counting(graph, part, n, base):
         calls[0] += 1
         if calls[0] > budget:
             raise AssertionError(f"more than {budget} elementary pivots in one call")
-        return real(graph, part, n, base, cut)
+        return real(graph, part, n, base)
 
     monkeypatch.setattr(interlace_module, "_packed_pivot", counting)
     for n, q in enumerate(path_polynomials(61)):
@@ -234,9 +235,9 @@ def test_recursion_on_row_tuples_pivots_once_per_path_vertex(monkeypatch):
     calls = [0]
     real = interlace_module._elementary_pivot_rows
 
-    def counting(rows, part, keep=None):
+    def counting(rows, part):
         calls[0] += 1
-        return real(rows, part, keep)
+        return real(rows, part)
 
     def packed(*args):
         raise AssertionError("the packed kernel ran past the packed bound")
@@ -384,14 +385,15 @@ def unpack_graph(graph, n):
 def test_recursion_pivots_once_per_frame_with_u_deleted(monkeypatch):
     # On a path with loops on its even vertices, every loopless u has a
     # looped highest neighbour v; X = {u, v} is still one kernel call, which
-    # builds G*X - u directly.  The graph has 12 vertices, so the calls are
-    # to the packed kernel; ``cut`` keeps ``keep`` rows and columns.
+    # builds G*X on every row, u's included; the loop then deletes u.  The
+    # graph has 12 vertices, so the calls are to the packed kernel.
     calls = []
     real = interlace_module._packed_pivot
 
-    def recording(graph, part, n, base, cut):
-        calls.append((unpack_graph(graph, n), part, (cut & (1 << n) - 1).bit_length()))
-        return real(graph, part, n, base, cut)
+    def recording(graph, part, n, base):
+        out = real(graph, part, n, base)
+        calls.append((unpack_graph(graph, n), part, unpack_graph(out, n)))
+        return out
 
     monkeypatch.setattr(interlace_module, "_packed_pivot", recording)
     labels = [f"v{i:02d}" for i in range(12)]
@@ -400,10 +402,11 @@ def test_recursion_pivots_once_per_frame_with_u_deleted(monkeypatch):
     )
     assert interlace_recursive(G) == interlace_polynomial(G)
     assert calls
-    for rows, part, keep in calls:
+    for rows, part, pivoted in calls:
         u = len(rows) - 1
-        assert keep == u and part >> u & 1
+        assert part >> u & 1
         assert part.bit_count() <= 2 and not part & ~rows[u] & ~(1 << u)
+        assert pivoted == f2_pivot_rows(rows, part)
 
 
 def test_recursion_strips_a_trailing_run_of_isolated_vertices():
@@ -451,26 +454,30 @@ def test_recursion_weights_hold_a_coefficient_of_two_to_the_n():
 def test_recursion_on_disjoint_unions_near_the_packed_bound():
     # q is multiplicative over disjoint unions.  Each component sits on a
     # contiguous block of labels, so the subgraphs reached hold several
-    # components at once, packed at the stride of the whole graph.
+    # components at once: packed at the stride of the whole graph around
+    # the packed bound, and as row tuples on 101 labels and more, where the
+    # labels take three digits.
     rng = random.Random(77)
-    seen = set()
-    for _ in range(12):
-        parts, edges, q, n = [], [], Poly.of([1]), 0
-        while n < 60:
-            H = random_graph(rng, rng.randint(4, 9))
-            edges += [
-                (f"v{n + i:02d}", f"v{n + j:02d}")
-                for i in range(H.n)
-                for j in range(i, H.n)
-                if H.rows[i] >> j & 1
-            ]
-            q = q * interlace_polynomial(H)
-            parts.append(H.n)
-            n += H.n
-        seen.add(n)
-        G = graph_from_edges([f"v{i:02d}" for i in range(n)], edges)
-        assert interlace_recursive(G) == q, parts
-    assert min(seen) <= interlace_module._PACKED_RECURSION_VERTICES < max(seen)
+    for least in (60, 101):
+        seen = set()
+        for _ in range(12):
+            parts, pairs, q, n = [], [], Poly.of([1]), 0
+            while n < least:
+                H = random_graph(rng, rng.randint(4, 9))
+                pairs += [
+                    (n + i, n + j) for i in range(H.n) for j in range(i, H.n) if H.rows[i] >> j & 1
+                ]
+                q = q * interlace_polynomial(H)
+                parts.append(H.n)
+                n += H.n
+            seen.add(n)
+            labels = labels_for(n)
+            G = graph_from_edges(labels, [(labels[i], labels[j]) for i, j in pairs])
+            assert interlace_recursive(G) == q, parts
+        if least == 60:
+            assert min(seen) <= interlace_module._PACKED_RECURSION_VERTICES < max(seen)
+        else:
+            assert min(seen) >= 101 and max(seen) <= 130
 
 
 @pytest.mark.parametrize("n", [64, 65])

@@ -615,6 +615,20 @@ def test_random_matrix_equals_from_entries_of_its_draws():
                 assert rng.getstate() == ref.getstate()
 
 
+def test_labels_sort_in_index_order_past_100_labels():
+    # Labels are padded to the width of n - 1, at least 2 digits, so up to
+    # 100 labels they are v00 .. v99 as always, and from 101 on they still
+    # sort in index order, which the matrix domain requires.
+    assert labels_for(100) == tuple(f"v{i:02d}" for i in range(100))
+    for n in (0, 1, 11, 101, 1001):
+        labels = labels_for(n)
+        assert len(set(labels)) == n and list(labels) == sorted(labels)
+    assert labels_for(101)[:2] + labels_for(101)[-1:] == ("v000", "v001", "v100")
+    for field in (GF2, RATIONAL):
+        assert random_matrix(random.Random(1), field, 101).domain == labels_for(101)
+    assert random_graph(random.Random(1), 101).domain == labels_for(101)
+
+
 def test_mat_vec_both_fields():
     A = sample_rational_matrix()
     assert mat_vec(A, [1, 0, 0]) == [Fraction(1), Fraction(1), Fraction(3)]
